@@ -21,14 +21,6 @@
 //	bclbench -watch reqobs     # replay the reqobs hotkey phase instead:
 //	                           # frames carry the sampled/dropped trace
 //	                           # counters and the heavy-hitter line
-//	bclbench -shards 8 simbench
-//	                           # run the parallel-core benchmark at a
-//	                           # different shard count (the correctness
-//	                           # invariants hold at any count; the
-//	                           # committed baseline pins the default 4)
-//	bclbench -wallclock simbench
-//	                           # attach real host-speed numbers to the
-//	                           # artifact's (never gated) wallclock section
 package main
 
 import (
@@ -44,7 +36,7 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	seed := flag.Uint64("seed", 1, "fault-schedule seed for the chaos and collectives experiments")
+	seed := flag.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (-list marks them)")
 	metrics := flag.Bool("metrics", false, "print each experiment's metrics registry snapshot (text and JSON)")
 	check := flag.Bool("check", false, "run the gated experiments and compare against committed baselines (exit 1 on regression)")
 	baseline := flag.Bool("baseline", false, "run the gated experiments and (re)write the baselines")
@@ -52,16 +44,12 @@ func main() {
 	out := flag.String("out", "", "also write fresh BENCH_<name>.json artifacts to this directory")
 	watch := flag.Bool("watch", false, "replay the healthwatch fault phase (or the reqobs hotkey phase: -watch reqobs) as bcltop frames")
 	post := flag.String("postmortem", "", "with -check: write POSTMORTEM_<name>.json bundles for failing gates to this directory")
-	shards := flag.Int("shards", bench.SimShards, "shard count for the simbench parallel phase")
-	wallclock := flag.Bool("wallclock", false, "attach simbench's informational host-speed section to its artifact (never gated)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bclbench [-list] [-seed N] [-metrics] [-out dir] all | <experiment> ...\n")
 		fmt.Fprintf(os.Stderr, "       bclbench [-check | -baseline] [-dir baselines] [-out dir]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(bench.IDs(), " "))
 	}
 	flag.Parse()
-	bench.SimShards = *shards
-	bench.RecordWallclock = *wallclock
 	if *list {
 		for _, e := range bench.List() {
 			var marks []string

@@ -51,21 +51,6 @@ type LogPDigest struct {
 	BandwidthMBps float64 `json:"fit_bw_mbps"`
 }
 
-// WallClock is the informational host-speed section of the simbench
-// artifact: real elapsed time, never simulated time. Check does not
-// compare it — the numbers vary with the host — so it can be written
-// (bclbench -wallclock) without perturbing gating or the double-run
-// byte-identity contract of the default configuration.
-type WallClock struct {
-	Shards          int     `json:"shards"`
-	SeqSec          float64 `json:"seq_sec"`
-	ParSec          float64 `json:"par_sec"`
-	SeqEventsPerSec float64 `json:"seq_events_per_sec"`
-	ParEventsPerSec float64 `json:"par_events_per_sec"`
-	WallPerSimSec   float64 `json:"wall_per_sim_sec"`
-	Speedup         float64 `json:"speedup"`
-}
-
 // Artifact is one experiment's benchmark record.
 type Artifact struct {
 	Schema  string `json:"schema"`
@@ -83,10 +68,6 @@ type Artifact struct {
 	Latency     *LatencyDigest   `json:"latency,omitempty"`
 	LogP        *LogPDigest      `json:"logp,omitempty"`
 	Attribution []AttributionRow `json:"attribution,omitempty"`
-
-	// Wallclock is informational host-speed data (simbench only, and
-	// only under -wallclock); Check ignores it entirely.
-	Wallclock *WallClock `json:"wallclock,omitempty"`
 }
 
 // GatedExperiments maps artifact names (BENCH_<name>.json) to the
@@ -104,7 +85,6 @@ var GatedExperiments = []struct{ Name, ID string }{
 	{"healthwatch", "healthwatch"},
 	{"serve", "serve"},
 	{"reqobs", "reqobs"},
-	{"simbench", "simbench"},
 }
 
 // ArtifactFile returns the artifact filename for a gate entry name.
@@ -155,9 +135,6 @@ func FromReport(r *Report) *Artifact {
 			GNsPerByte:    round6(r.LogP.G),
 			BandwidthMBps: round6(r.LogP.BandwidthMBps),
 		}
-	}
-	if r.Wallclock != nil {
-		a.Wallclock = r.Wallclock
 	}
 	if r.Attribution != nil {
 		for _, row := range r.Attribution.Rows {
@@ -262,19 +239,6 @@ var exactMetrics = map[string]bool{
 	"exemplar_deterministic":   true,
 	"sampling_deterministic":   true,
 	"drained":                  true,
-	// Parallel-core correctness: the sharded engine must execute the
-	// exact event count and model digest of the sequential kernel, the
-	// sequential runs must agree on the order-sensitive digest, and
-	// the window/exchange machinery counts are fully deterministic.
-	"events_seq":    true,
-	"events_par":    true,
-	"events_equal":  true,
-	"digest_equal":  true,
-	"order_equal":   true,
-	"barriers":      true,
-	"cross_batches": true,
-	"cross_msgs":    true,
-	"pool_hit_pct":  true,
 }
 
 // tolFor picks the acceptance band for one metric.
@@ -404,30 +368,4 @@ func Check(fresh, base *Artifact) []string {
 		}
 	}
 	return bad
-}
-
-// ByIDSeeded runs an experiment through the harness with an explicit
-// fault-schedule seed where the experiment takes one. Unlike calling
-// the seeded constructors directly, this goes through runExperiment,
-// so the report carries its snapshot and one-line summary exactly
-// like an unseeded run — the digest, prose and artifact all come
-// from the same capture.
-func ByIDSeeded(id string, seed uint64) *Report {
-	switch strings.ToLower(id) {
-	case "chaos":
-		return runExperiment(func() *Report { return ChaosSeeded(seed) })
-	case "collectives":
-		return runExperiment(func() *Report { return CollectivesSeeded(seed) })
-	case "survival":
-		return runExperiment(func() *Report { return SurvivalSeeded(seed) })
-	case "healthwatch":
-		return runExperiment(func() *Report { return HealthWatchSeeded(seed) })
-	case "serve":
-		return runExperiment(func() *Report { return ServeSeeded(seed) })
-	case "reqobs":
-		return runExperiment(func() *Report { return ReqObsSeeded(seed) })
-	case "simbench", "par":
-		return runExperiment(func() *Report { return SimBenchSeeded(seed) })
-	}
-	return ByID(id)
 }

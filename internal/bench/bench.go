@@ -49,11 +49,6 @@ type Report struct {
 	// embeds them.
 	Attribution *prof.Profile
 	LogP        *prof.LogGP
-
-	// Wallclock carries simbench's informational host-speed section
-	// (nil unless RecordWallclock); the artifact embeds but never
-	// gates it.
-	Wallclock *WallClock
 }
 
 func (r *Report) String() string {
@@ -67,16 +62,20 @@ func newReport(id, title string) *Report {
 	return &Report{ID: id, Title: title, Metrics: make(map[string]float64)}
 }
 
-// experiments maps every experiment id (and alias) to its constructor,
-// in paper order. seeded marks the experiments whose fault/traffic
-// schedule honors -seed (ByIDSeeded runs their seed-taking variant).
-var experiments = []struct {
+// experiment is one registry entry. Exactly one constructor is set:
+// seeded for experiments whose fault/traffic schedule honors -seed,
+// fn for the rest.
+type experiment struct {
 	id      string
 	aliases []string
 	title   string
-	seeded  bool
 	fn      func() *Report
-}{
+	seeded  func(seed uint64) *Report
+}
+
+// experiments maps every experiment id (and alias) to its constructor,
+// in paper order.
+var experiments = []experiment{
 	{id: "table1", title: "Comparison of three communication architectures", fn: Table1},
 	{id: "overheads", title: "Processor overheads (send/completion/receive)", fn: Overheads},
 	{id: "fig5", aliases: []string{"figure5"}, title: "Transmission timeline for a BCL message", fn: Figure5},
@@ -97,18 +96,17 @@ var experiments = []struct {
 	{id: "ablation-pipeline", title: "Intra-node pipelining", fn: AblationPipeline},
 	{id: "ablation-window", title: "Go-back-N window sweep", fn: AblationWindow},
 	{id: "ablation-intrapath", title: "Intra-node strategies: loopback vs shm vs direct", fn: AblationIntraPath},
-	{id: "chaos", title: "Deterministic chaos soak", seeded: true, fn: Chaos},
-	{id: "survival", title: "Survivable NIC gauntlet: crash recovery, corruption, gray failures", seeded: true, fn: Survival},
-	{id: "collectives", title: "NIC-offloaded collectives vs host algorithms", seeded: true, fn: Collectives},
+	{id: "chaos", title: "Deterministic chaos soak", seeded: ChaosSeeded},
+	{id: "survival", title: "Survivable NIC gauntlet: crash recovery, corruption, gray failures", seeded: SurvivalSeeded},
+	{id: "collectives", title: "NIC-offloaded collectives vs host algorithms", seeded: CollectivesSeeded},
 	{id: "collflow", title: "Causal flow trace of one offloaded broadcast + barrier", fn: CollFlow},
 	{id: "crashflow", title: "Causal flow trace of one message across a firmware crash + recovery", fn: CrashFlow},
 	{id: "profile", title: "Virtual-time attribution of one eager send", fn: Profile},
 	{id: "logp", title: "LogP/LogGP parameters extracted from profiler spans", fn: LogP},
 	{id: "multitenant", aliases: []string{"mt"}, title: "Multi-tenant cluster: scheduler, endpoint isolation, QoS arbitration", fn: Multitenant},
-	{id: "healthwatch", aliases: []string{"health"}, title: "Cluster health engine: clean silence, fault alerts, postmortem bundles", seeded: true, fn: HealthWatch},
-	{id: "serve", aliases: []string{"svc"}, title: "Service tier: sharded RPC/KV, transactions, open-loop swarm", seeded: true, fn: Serve},
-	{id: "reqobs", aliases: []string{"reqtrace"}, title: "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log", seeded: true, fn: ReqObs},
-	{id: "simbench", aliases: []string{"par"}, title: "Sharded parallel simulation core: lookahead windows vs the sequential kernel", seeded: true, fn: SimBench},
+	{id: "healthwatch", aliases: []string{"health"}, title: "Cluster health engine: clean silence, fault alerts, postmortem bundles", seeded: HealthWatchSeeded},
+	{id: "serve", aliases: []string{"svc"}, title: "Service tier: sharded RPC/KV, transactions, open-loop swarm", seeded: ServeSeeded},
+	{id: "reqobs", aliases: []string{"reqtrace"}, title: "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log", seeded: ReqObsSeeded},
 	{id: "rpcflow", title: "Causal flow trace of one cross-shard transaction (2PC over BCL)", fn: RPCFlow},
 }
 
@@ -133,36 +131,57 @@ func List() []Info {
 			ID:      e.id,
 			Aliases: e.aliases,
 			Title:   e.title,
-			Seeded:  e.seeded,
+			Seeded:  e.seeded != nil,
 			Gated:   gated[e.id],
 		})
 	}
 	return out
 }
 
-// All runs every experiment in paper order.
-func All() []*Report {
-	var out []*Report
-	for _, e := range experiments {
-		out = append(out, runExperiment(e.fn))
-	}
-	return out
-}
-
-// ByID returns the named experiment (nil if unknown).
-func ByID(id string) *Report {
+// lookup resolves an experiment id or alias (nil if unknown).
+func lookup(id string) *experiment {
 	id = strings.ToLower(id)
-	for _, e := range experiments {
+	for i := range experiments {
+		e := &experiments[i]
 		if e.id == id {
-			return runExperiment(e.fn)
+			return e
 		}
 		for _, a := range e.aliases {
 			if a == id {
-				return runExperiment(e.fn)
+				return e
 			}
 		}
 	}
 	return nil
+}
+
+// All runs every experiment in paper order, seeded ones at seed 1.
+func All() []*Report {
+	var out []*Report
+	for _, e := range experiments {
+		out = append(out, ByID(e.id))
+	}
+	return out
+}
+
+// ByID returns the named experiment (nil if unknown), seeded ones at
+// seed 1.
+func ByID(id string) *Report { return ByIDSeeded(id, 1) }
+
+// ByIDSeeded runs an experiment by id or alias with an explicit
+// fault/traffic-schedule seed where the experiment takes one (nil if
+// unknown). It goes through the harness like every other run, so the
+// report carries its snapshot and one-line summary — the digest, prose
+// and artifact all come from the same capture.
+func ByIDSeeded(id string, seed uint64) *Report {
+	e := lookup(id)
+	if e == nil {
+		return nil
+	}
+	if e.seeded != nil {
+		return runExperiment(func() *Report { return e.seeded(seed) })
+	}
+	return runExperiment(e.fn)
 }
 
 // IDs lists the experiment ids.

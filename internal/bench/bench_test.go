@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -194,5 +195,13 @@ func TestByIDAndAll(t *testing.T) {
 	}
 	if ByID("nope") != nil {
 		t.Error("ByID accepted garbage")
+	}
+}
+
+// An alias must honor -seed exactly like its primary id.
+func TestSeededAliasHonorsSeed(t *testing.T) {
+	r := ByIDSeeded("health", 3)
+	if r == nil || !strings.Contains(r.Title, "seed 3") {
+		t.Fatalf("ByIDSeeded(\"health\", 3) did not run seed 3")
 	}
 }

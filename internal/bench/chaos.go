@@ -282,9 +282,6 @@ func chaosRun(seed uint64) *chaosResult {
 	return res
 }
 
-// Chaos runs the soak with the default seed.
-func Chaos() *Report { return ChaosSeeded(1) }
-
 // ChaosSeeded runs the seeded chaos soak TWICE and checks the two runs
 // are bit-identical — the determinism the whole simulator promises.
 func ChaosSeeded(seed uint64) *Report {

@@ -288,9 +288,6 @@ func collFaultRun(seed uint64) *collFaultResult {
 	return res
 }
 
-// Collectives runs the experiment with the default seed.
-func Collectives() *Report { return CollectivesSeeded(1) }
-
 // CollectivesSeeded measures host vs NIC-offloaded collectives at
 // 2..64 nodes and soaks the offloaded paths under a seeded fault
 // schedule — twice, demanding bit-identical digests.

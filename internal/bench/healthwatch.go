@@ -211,9 +211,6 @@ func runHealthWatchOnce(seed uint64) *hwOnce {
 	return o
 }
 
-// HealthWatch runs the health-engine gauntlet with the default seed.
-func HealthWatch() *Report { return HealthWatchSeeded(1) }
-
 // HealthWatchSeeded runs the two-phase healthwatch experiment TWICE
 // and checks the alert timelines and postmortem bundles are
 // byte-identical.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHealthWatchGauntlet(t *testing.T) {
-	r := runExperiment(HealthWatch)
+	r := ByID("healthwatch")
 	for _, m := range []string{
 		"clean_alerts", "deadlocked",
 	} {

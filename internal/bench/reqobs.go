@@ -370,10 +370,8 @@ func ReqObsFrames(seed uint64) []string {
 	return runReqObs(reqobsHotCfg(seed)).frames
 }
 
-// ReqObs is the gated request-level observability experiment.
-func ReqObs() *Report { return ReqObsSeeded(1) }
-
-// ReqObsSeeded is ReqObs with an explicit schedule seed.
+// ReqObsSeeded is the gated request-level observability experiment at
+// an explicit schedule seed.
 func ReqObsSeeded(seed uint64) *Report {
 	r := newReport("reqobs", "Request-level observability: tail-sampled traces, exemplars, heavy hitters, slow log")
 

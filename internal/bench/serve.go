@@ -386,10 +386,8 @@ func serveSchedule(seed uint64) (dup int, outAt, outDur, crashAt sim.Time) {
 	return
 }
 
-// Serve is the gated service-tier experiment.
-func Serve() *Report { return ServeSeeded(1) }
-
-// ServeSeeded is Serve with an explicit fault-schedule seed.
+// ServeSeeded is the gated service-tier experiment at an explicit
+// fault-schedule seed.
 func ServeSeeded(seed uint64) *Report {
 	r := newReport("serve", "Service tier: sharded RPC/KV, transactions, open-loop swarm")
 

@@ -393,9 +393,6 @@ func runSurvivalOnce(seed uint64) *survivalOnce {
 	return o
 }
 
-// Survival runs the survivability gauntlet with the default seed.
-func Survival() *Report { return SurvivalSeeded(1) }
-
 // SurvivalSeeded runs the two-phase survivability experiment TWICE and
 // checks the runs are bit-identical.
 func SurvivalSeeded(seed uint64) *Report {

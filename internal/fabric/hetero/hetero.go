@@ -198,45 +198,6 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 	}
 }
 
-// RouteLatency implements fabric.LatencyReporter: the smaller of the
-// two rails' latencies — failover or gray steering may put a packet on
-// either rail, so the conservative bound is the faster one.
-func (f *Fabric) RouteLatency(src, dst int) sim.Time {
-	return f.minOverRails(func(lr fabric.LatencyReporter) sim.Time {
-		return lr.RouteLatency(src, dst)
-	})
-}
-
-// MinLatency implements fabric.LatencyReporter across both rails.
-func (f *Fabric) MinLatency() sim.Time {
-	return f.minOverRails(fabric.LatencyReporter.MinLatency)
-}
-
-// MinCrossLatency implements fabric.LatencyReporter across both rails:
-// a cross-shard packet may ride whichever rail is faster, so lookahead
-// must be the minimum over rails.
-func (f *Fabric) MinCrossLatency(partOf func(node int) int) sim.Time {
-	return f.minOverRails(func(lr fabric.LatencyReporter) sim.Time {
-		return lr.MinCrossLatency(partOf)
-	})
-}
-
-// minOverRails folds a latency query over the rails that support it,
-// keeping the smallest positive answer.
-func (f *Fabric) minOverRails(q func(fabric.LatencyReporter) sim.Time) sim.Time {
-	var min sim.Time
-	for r := 0; r < 2; r++ {
-		lr, ok := f.rails[r].(fabric.LatencyReporter)
-		if !ok {
-			continue
-		}
-		if lat := q(lr); lat > 0 && (min == 0 || lat < min) {
-			min = lat
-		}
-	}
-	return min
-}
-
 // NodeDown implements fabric.Fabric: a node is down for the composite
 // only when BOTH rails have lost it (otherwise failover still routes).
 func (f *Fabric) NodeDown(node int) bool {

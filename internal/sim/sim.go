@@ -21,8 +21,7 @@
 // binary heap over concrete *event values (no container/heap interface
 // boxing), and arg-carrying events (Env.AtArg) let callers dispatch
 // through a long-lived function value instead of a fresh closure per
-// event. The parallel shard engine in sim/par builds on exactly these
-// properties.
+// event.
 package sim
 
 import "fmt"
@@ -80,7 +79,7 @@ type Env struct {
 
 	// Event pool. poolHits counts allocations served from the
 	// freelist, poolMisses counts fresh heap allocations; their ratio
-	// is the pool hit rate the simbench experiment gates.
+	// is the pool hit rate (see PoolStats).
 	pool       []*event
 	poolHits   uint64
 	poolMisses uint64
@@ -276,9 +275,9 @@ func (e *Env) at(t Time, fn func()) {
 // AtArg schedules an arg-carrying event: at time t, fn(a, b) runs.
 // Passing a long-lived function value (a field initialized once, not a
 // fresh closure) makes the call allocation-free — the two words ride
-// in the pooled event itself. This is the hot-path scheduling form the
-// sharded parallel engine (sim/par) uses for message delivery. Closed
-// environments drop the event exactly like At.
+// in the pooled event itself, so hot paths that schedule one event
+// per packet pay no closure allocation. Closed environments drop the
+// event exactly like At.
 func (e *Env) AtArg(t Time, fn func(a, b uint64), a, b uint64) {
 	if e.closed {
 		e.closedSchedules++
@@ -344,18 +343,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 
 // Idle reports whether no events are pending.
 func (e *Env) Idle() bool { return len(e.pq) == 0 }
-
-// NextEventAt returns the timestamp of the earliest pending event and
-// whether one exists. Cancelled events still waiting to be popped are
-// included, so the bound is conservative (never later than the next
-// live event). The parallel engine uses this to fast-forward over
-// empty synchronization windows.
-func (e *Env) NextEventAt() (Time, bool) {
-	if len(e.pq) == 0 {
-		return 0, false
-	}
-	return e.pq[0].t, true
-}
 
 // Close terminates the simulation: pending events are dropped and all
 // parked process goroutines are unwound (their blocking calls panic
