@@ -21,11 +21,17 @@
 //	bclbench -watch reqobs     # replay the reqobs hotkey phase instead:
 //	                           # frames carry the sampled/dropped trace
 //	                           # counters and the heavy-hitter line
+//
+// Exit status: 0 on success; 1 when a report fails one of its declared
+// invariants (it then prints "*** <ID> FAILED: <names> ***") or the
+// gate finds a regression; 2 on a usage error, including -check or
+// -baseline with a -seed other than 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,22 +40,32 @@ import (
 	"bcl/internal/obs/health"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	seed := flag.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (-list marks them)")
-	metrics := flag.Bool("metrics", false, "print each experiment's metrics registry snapshot (text and JSON)")
-	check := flag.Bool("check", false, "run the gated experiments and compare against committed baselines (exit 1 on regression)")
-	baseline := flag.Bool("baseline", false, "run the gated experiments and (re)write the baselines")
-	dir := flag.String("dir", "baselines", "baseline directory for -check / -baseline")
-	out := flag.String("out", "", "also write fresh BENCH_<name>.json artifacts to this directory")
-	watch := flag.Bool("watch", false, "replay the healthwatch fault phase (or the reqobs hotkey phase: -watch reqobs) as bcltop frames")
-	post := flag.String("postmortem", "", "with -check: write POSTMORTEM_<name>.json bundles for failing gates to this directory")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bclbench [-list] [-seed N] [-metrics] [-out dir] all | <experiment> ...\n")
-		fmt.Fprintf(os.Stderr, "       bclbench [-check | -baseline] [-dir baselines] [-out dir]\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(bench.IDs(), " "))
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is bclbench proper: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit status — 0 on success, 1
+// when a report fails a declared invariant or the gate finds a
+// regression, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bclbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	seed := fs.Uint64("seed", 1, "fault/traffic-schedule seed for the seeded experiments (-list marks them; the gate runs seed 1 only)")
+	metrics := fs.Bool("metrics", false, "print each experiment's metrics registry snapshot (text and JSON)")
+	check := fs.Bool("check", false, "run the gated experiments and compare against committed baselines (exit 1 on regression)")
+	baseline := fs.Bool("baseline", false, "run the gated experiments and (re)write the baselines")
+	dir := fs.String("dir", "baselines", "baseline directory for -check / -baseline")
+	out := fs.String("out", "", "also write fresh BENCH_<name>.json artifacts to this directory")
+	watch := fs.Bool("watch", false, "replay the healthwatch fault phase (or the reqobs hotkey phase: -watch reqobs) as bcltop frames")
+	post := fs.String("postmortem", "", "with -check: write POSTMORTEM_<name>.json bundles for failing gates to this directory")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: bclbench [-list] [-seed N] [-metrics] [-out dir] all | <experiment> ...\n")
+		fmt.Fprintf(stderr, "       bclbench [-check | -baseline] [-dir baselines] [-out dir]\n")
+		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(bench.IDs(), " "))
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *list {
 		for _, e := range bench.List() {
 			var marks []string
@@ -66,80 +82,86 @@ func main() {
 			if len(marks) > 0 {
 				suffix = "  [" + strings.Join(marks, "; ") + "]"
 			}
-			fmt.Printf("%-22s %s%s\n", e.ID, e.Title, suffix)
+			fmt.Fprintf(stdout, "%-22s %s%s\n", e.ID, e.Title, suffix)
 		}
-		fmt.Print(faultVocabulary)
-		return
+		fmt.Fprint(stdout, faultVocabulary)
+		return 0
 	}
 	if *watch {
 		frames := bench.HealthWatchFrames
-		if flag.NArg() > 0 {
-			switch flag.Arg(0) {
+		if fs.NArg() > 0 {
+			switch fs.Arg(0) {
 			case "reqobs", "reqtrace":
 				frames = bench.ReqObsFrames
 			case "healthwatch", "health":
 			default:
-				fmt.Fprintf(os.Stderr, "bclbench: -watch takes healthwatch or reqobs, not %q\n", flag.Arg(0))
-				os.Exit(2)
+				fmt.Fprintf(stderr, "bclbench: -watch takes healthwatch or reqobs, not %q\n", fs.Arg(0))
+				return 2
 			}
 		}
 		for i, f := range frames(*seed) {
 			if i > 0 {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
-			fmt.Print(f)
+			fmt.Fprint(stdout, f)
 		}
-		return
+		return 0
 	}
 	if *check || *baseline {
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
+		if fs.NArg() != 0 {
+			fs.Usage()
+			return 2
 		}
-		os.Exit(runGate(*check, *dir, *out, *post, *seed))
+		// The committed baselines are seed-1 runs: comparing another
+		// seed against them, or overwriting them with one, is a mistake.
+		if *seed != 1 {
+			fmt.Fprintf(stderr, "bclbench: -check and -baseline run seed 1 only (got -seed %d)\n", *seed)
+			return 2
+		}
+		return runGate(stdout, stderr, *check, *dir, *out, *post)
 	}
-	args := flag.Args()
-	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	var reports []*bench.Report
-	if len(args) == 1 && args[0] == "all" {
+	if fs.NArg() == 1 && fs.Arg(0) == "all" {
 		reports = bench.All()
 	} else {
-		for _, id := range args {
+		for _, id := range fs.Args() {
 			r := bench.ByIDSeeded(id, *seed)
 			if r == nil {
-				fmt.Fprintf(os.Stderr, "bclbench: unknown experiment %q\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "bclbench: unknown experiment %q\n", id)
+				return 2
 			}
 			reports = append(reports, r)
 		}
 	}
 	for i, r := range reports {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(r.String())
-		fmt.Println(r.Summary)
+		fmt.Fprint(stdout, r.String())
+		fmt.Fprintln(stdout, r.Summary)
 		if *out != "" {
 			if err := writeArtifact(*out, artifactName(r.ID), r); err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "bclbench: %v\n", err)
+				return 1
 			}
 		}
 		if *metrics && r.Snap != nil {
-			fmt.Println()
-			fmt.Print(r.Snap.Text())
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, r.Snap.Text())
 			js, err := r.Snap.JSON()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: metrics JSON: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "bclbench: metrics JSON: %v\n", err)
+				return 1
 			}
-			os.Stdout.Write(js)
-			fmt.Println()
+			stdout.Write(js)
+			fmt.Fprintln(stdout)
 		}
 	}
+	return bench.ExitCode(reports...)
 }
 
 // artifactName maps an experiment id to the gate's artifact name (the
@@ -167,55 +189,55 @@ func writeArtifact(dir, name string, r *bench.Report) error {
 // runGate runs every gated experiment once and either rewrites the
 // baselines (check=false) or compares against them (check=true).
 // Returns the process exit code.
-func runGate(check bool, dir, out, post string, seed uint64) int {
+func runGate(stdout, stderr io.Writer, check bool, dir, out, post string) int {
 	failed := false
 	for _, g := range bench.GatedExperiments {
-		r := bench.ByIDSeeded(g.ID, seed)
+		r := bench.ByID(g.ID)
 		if r == nil {
-			fmt.Fprintf(os.Stderr, "bclbench: unknown gated experiment %q\n", g.ID)
+			fmt.Fprintf(stderr, "bclbench: unknown gated experiment %q\n", g.ID)
 			return 2
 		}
 		fresh := bench.FromReport(r)
 		if out != "" {
 			if err := writeArtifact(out, g.Name, r); err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
+				fmt.Fprintf(stderr, "bclbench: %v\n", err)
 				return 1
 			}
 		}
 		path := filepath.Join(dir, bench.ArtifactFile(g.Name))
 		if !check {
 			if err := writeArtifact(dir, g.Name, r); err != nil {
-				fmt.Fprintf(os.Stderr, "bclbench: %v\n", err)
+				fmt.Fprintf(stderr, "bclbench: %v\n", err)
 				return 1
 			}
-			fmt.Printf("baseline %-12s -> %s (%d metrics)\n", g.Name, path, len(fresh.Metrics))
+			fmt.Fprintf(stdout, "baseline %-12s -> %s (%d metrics)\n", g.Name, path, len(fresh.Metrics))
 			continue
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bclbench: %s: %v (run `bclbench -baseline` to create it)\n", g.Name, err)
+			fmt.Fprintf(stderr, "bclbench: %s: %v (run `bclbench -baseline` to create it)\n", g.Name, err)
 			failed = true
-			writePostmortem(post, g.Name, r, []string{err.Error()})
+			writePostmortem(stdout, stderr, post, g.Name, r, []string{err.Error()})
 			continue
 		}
 		base, err := bench.DecodeArtifact(raw)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bclbench: %s: bad baseline: %v\n", g.Name, err)
+			fmt.Fprintf(stderr, "bclbench: %s: bad baseline: %v\n", g.Name, err)
 			failed = true
-			writePostmortem(post, g.Name, r, []string{err.Error()})
+			writePostmortem(stdout, stderr, post, g.Name, r, []string{err.Error()})
 			continue
 		}
 		bad := bench.Check(fresh, base)
 		if len(bad) == 0 {
-			fmt.Printf("check %-12s PASS (%d metrics within tolerance)\n", g.Name, len(base.Metrics))
+			fmt.Fprintf(stdout, "check %-12s PASS (%d metrics within tolerance)\n", g.Name, len(base.Metrics))
 			continue
 		}
 		failed = true
-		fmt.Printf("check %-12s FAIL\n", g.Name)
+		fmt.Fprintf(stdout, "check %-12s FAIL\n", g.Name)
 		for _, m := range bad {
-			fmt.Printf("  regression: %s\n", m)
+			fmt.Fprintf(stdout, "  regression: %s\n", m)
 		}
-		writePostmortem(post, g.Name, r, bad)
+		writePostmortem(stdout, stderr, post, g.Name, r, bad)
 	}
 	if failed {
 		return 1
@@ -227,7 +249,7 @@ func runGate(check bool, dir, out, post string, seed uint64) int {
 // reasons, the experiment's final registry snapshot, and its flight
 // recorder) as POSTMORTEM_<name>.json, so CI can attach it to the
 // failing run. A no-op when -postmortem was not given.
-func writePostmortem(dir, name string, r *bench.Report, reasons []string) {
+func writePostmortem(stdout, stderr io.Writer, dir, name string, r *bench.Report, reasons []string) {
 	if dir == "" {
 		return
 	}
@@ -244,10 +266,10 @@ func writePostmortem(dir, name string, r *bench.Report, reasons []string) {
 		err = os.WriteFile(filepath.Join(dir, "POSTMORTEM_"+name+".json"), data, 0o644)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bclbench: postmortem %s: %v\n", name, err)
+		fmt.Fprintf(stderr, "bclbench: postmortem %s: %v\n", name, err)
 		return
 	}
-	fmt.Printf("  postmortem -> %s\n", filepath.Join(dir, "POSTMORTEM_"+name+".json"))
+	fmt.Fprintf(stdout, "  postmortem -> %s\n", filepath.Join(dir, "POSTMORTEM_"+name+".json"))
 }
 
 // faultVocabulary documents every fault injector the seeded

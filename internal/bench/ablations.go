@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
 	"bcl/internal/hw"
 	"bcl/internal/nic"
-	"bcl/internal/sim"
 )
 
 // AblationPIO sweeps the PCI programmed-IO word cost: the paper's
@@ -21,8 +19,8 @@ func AblationPIO() *Report {
 	fmt.Fprintf(&b, "%12s %16s %16s\n", "PIO scale", "0B latency", "128KB bandwidth")
 	for _, f := range []float64{1.0, 0.5, 0.25, 0.1} {
 		prof := hw.DAWNING3000().ScalePIO(f)
-		lat := bclLatency(prof, false, 0)
-		bw := bclBandwidth(prof, false, 131072, 8)
+		lat := newBCLRig(prof, false).warmLatency(0)
+		bw := newBCLRig(prof, false).stream(131072, 8)
 		fmt.Fprintf(&b, "%11.2fx %14.2fus %12.1fMB/s\n", f, us(lat), bw)
 		if f == 1.0 {
 			r.metric("lat_base_us", us(lat))
@@ -44,7 +42,7 @@ func AblationCPU() *Report {
 	fmt.Fprintf(&b, "%12s %16s %18s\n", "CPU scale", "0B latency", "semi-user extra")
 	for _, f := range []float64{1.0, 0.5, 0.25} {
 		prof := hw.DAWNING3000().ScaleCPU(f)
-		lat := bclLatency(prof, false, 0)
+		lat := newBCLRig(prof, false).warmLatency(0)
 		semi := bclPingPong(prof, 0)
 		user := ulcPingPong(prof, 0)
 		fmt.Fprintf(&b, "%11.2fx %14.2fus %16.2fus\n", f, us(lat), us(semi-user))
@@ -65,51 +63,14 @@ func AblationCPU() *Report {
 // ("to reduce the protocol overhead is a way to improve performance").
 func AblationReliability() *Report {
 	r := newReport("ablation-reliability", "Reliable vs raw firmware (paper: 5.65 µs of NIC time is the reliable protocol)")
-	reliable := bclLatency(hw.DAWNING3000(), false, 0)
+	reliable := newBCLRig(hw.DAWNING3000(), false).warmLatency(0)
 
 	// A BCL variant on unreliable firmware with the protocol cost
 	// stripped out of the per-message processing.
 	prof := hw.DAWNING3000().Clone()
 	prof.MCPSendProc -= 5650 - 2200 // keep basic dispatch, drop the protocol machine
-	lat := func() sim.Time {
-		nodes := 2
-		c := newCluster(cluster.Config{Nodes: nodes, Profile: prof,
-			NIC: nic.Config{Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: false}})
-		sys := ibcl.NewSystem(c)
-		var a, bp *ibcl.Port
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-			bp, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64})
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
-		const iters = 4
-		sendAt := make([]sim.Time, iters)
-		var warm sim.Time
-		ch := bp.CreateChannel()
-		c.Env.Go("recv", func(p *sim.Proc) {
-			rva := bp.Process().Space.Alloc(64)
-			bp.PostRecv(p, ch, rva, 64)
-			for i := 0; i < iters; i++ {
-				bp.WaitRecv(p)
-				warm = p.Now() - sendAt[i]
-				if i < iters-1 {
-					bp.PostRecv(p, ch, rva, 64)
-				}
-			}
-		})
-		c.Env.Go("send", func(p *sim.Proc) {
-			va := a.Process().Space.Alloc(64)
-			p.Sleep(100 * sim.Microsecond)
-			for i := 0; i < iters; i++ {
-				sendAt[i] = p.Now()
-				a.Send(p, bp.Addr(), ch, va, 0, 0)
-				a.WaitSend(p)
-				p.Sleep(300 * sim.Microsecond)
-			}
-		})
-		c.Env.RunUntil(c.Env.Now() + sim.Second)
-		return warm
-	}()
+	lat := openRig(newCluster(cluster.Config{Nodes: 2, Profile: prof,
+		NIC: nic.Config{Translate: nic.HostTranslated, Completion: nic.UserEventQueue, Reliable: false}}), 1).warmLatency(0)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-36s %12s\n", "firmware", "0B latency")
@@ -131,8 +92,8 @@ func AblationKernelPath() *Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %16s %16s\n", "bytes", "semi-user MB/s", "user-level MB/s")
 	for _, size := range []int{4096, 32768, 131072} {
-		semi := bclBandwidth(prof, false, size, 8)
-		user := ulcBandwidth(prof, size, 8, nil)
+		semi := newBCLRig(prof, false).stream(size, 8)
+		user := ulcBandwidth(ulcConfig(prof), size, 8)
 		fmt.Fprintf(&b, "%10d %16.1f %16.1f\n", size, semi, user)
 		if size == 131072 {
 			r.metric("semi_128k_mbps", semi)
@@ -159,8 +120,8 @@ func AblationPipeline() *Report {
 	fmt.Fprintf(&b, "%10s %18s %20s\n", "bytes", "pipelined latency", "store-and-fwd latency")
 	var pBig, sBig float64
 	for _, size := range []int{16384, 65536, 262144} {
-		plat := us(bclLatency(pipelined, true, size))
-		slat := us(bclLatency(storeFwd, true, size))
+		plat := us(newBCLRig(pipelined, true).warmLatency(size))
+		slat := us(newBCLRig(storeFwd, true).warmLatency(size))
 		fmt.Fprintf(&b, "%10d %16.1fus %18.1fus\n", size, plat, slat)
 		if size == 262144 {
 			pBig, sBig = plat, slat

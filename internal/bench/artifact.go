@@ -68,6 +68,11 @@ type Artifact struct {
 	Latency     *LatencyDigest   `json:"latency,omitempty"`
 	LogP        *LogPDigest      `json:"logp,omitempty"`
 	Attribution []AttributionRow `json:"attribution,omitempty"`
+
+	// exact names the metrics the report declared as invariants: Check
+	// compares them bit for bit. It is not serialized; the fresh run's
+	// declarations are the authority.
+	exact map[string]bool
 }
 
 // GatedExperiments maps artifact names (BENCH_<name>.json) to the
@@ -112,6 +117,10 @@ func FromReport(r *Report) *Artifact {
 	}
 	for k, v := range r.Metrics {
 		a.Metrics[k] = round6(v)
+	}
+	a.exact = make(map[string]bool, len(r.invariants))
+	for _, inv := range r.invariants {
+		a.exact[inv.name] = true
 	}
 	if r.Snap != nil {
 		a.Counters = make(map[string]float64)
@@ -176,74 +185,9 @@ type tolerance struct {
 	exact bool    // must match bit-for-bit (correctness flags)
 }
 
-// exactMetrics are correctness indicators: any drift is a regression,
-// however small.
-var exactMetrics = map[string]bool{
-	"deterministic":   true,
-	"deadlocked":      true,
-	"corrupt":         true,
-	"byte_errors":     true,
-	"registry_agrees": true,
-	"finished":        true,
-	// Multi-tenant correctness: every staged attack must be rejected,
-	// teardown must unbind, and the QoS/backfill wins must hold.
-	"security_rejects":    true,
-	"teardown_ok":         true,
-	"qos_beats_fifo":      true,
-	"backfill_beats_fifo": true,
-	// Survivability correctness: exactly-once delivery through crash +
-	// corruption + gray chaos, the faults must actually have fired, and
-	// the adaptive-RTO tail must strictly beat fixed backoff.
-	"exactly_once":          true,
-	"crc_drops_nonzero":     true,
-	"nic_reboots_nonzero":   true,
-	"adaptive_beats_fixed":  true,
-	"gray_failover_nonzero": true,
-	// Health-engine correctness: the clean phase must stay silent, the
-	// fault phase must fire the expected rules, and the alert timeline
-	// and bundle bytes must be identical across the double run.
-	"clean_alerts":           true,
-	"fired_crc_spike":        true,
-	"fired_watchdog_trip":    true,
-	"fired_rail_divergence":  true,
-	"bundle_deterministic":   true,
-	"timeline_deterministic": true,
-	// Service-tier correctness: no half-applied transaction pair, no
-	// monotonic-read violation, caches coherent at quiesce, the swarm
-	// fully drained, and the chaos phase's faults actually exercised
-	// the dedup/retransmit machinery.
-	"atomicity_ok":        true,
-	"linearizable_ok":     true,
-	"coherent_caches":     true,
-	"swarm_drained":       true,
-	"dedup_nonzero":       true,
-	"retrans_nonzero":     true,
-	"txn_commits_nonzero": true,
-	// Request-observability correctness: sampling must retain every
-	// abort and SLO breach within budget, the hot-shard rule must fire
-	// on the skewed phase only, and slow logs, exemplar sets and
-	// sampling decisions must be byte-identical across double runs.
-	"hot_rule_fired":           true,
-	"hot_rule_silent_baseline": true,
-	"bundle_has_slowlog":       true,
-	"aborts_all_retained":      true,
-	"slo_all_retained":         true,
-	"chaos_aborts_nonzero":     true,
-	"chaos_slo_nonzero":        true,
-	"budget_respected":         true,
-	"budget_dropped_nonzero":   true,
-	"exemplars_nonzero":        true,
-	"trace_cap_respected":      true,
-	"trace_evictions_nonzero":  true,
-	"slowlog_deterministic":    true,
-	"exemplar_deterministic":   true,
-	"sampling_deterministic":   true,
-	"drained":                  true,
-}
-
 // tolFor picks the acceptance band for one metric.
-func tolFor(name string) tolerance {
-	if exactMetrics[name] {
+func tolFor(name string, exact bool) tolerance {
+	if exact {
 		return tolerance{exact: true}
 	}
 	switch {
@@ -282,8 +226,9 @@ func checkOne(what string, fresh, base float64, tol tolerance) string {
 // Check compares a fresh artifact against a committed baseline and
 // returns the list of regressions (empty = pass). Metrics present in
 // the baseline must exist in the fresh run and sit inside their
-// tolerance band; new metrics in the fresh run are allowed (they
-// become part of the baseline when it is regenerated).
+// tolerance band — none at all for the fresh report's declared
+// invariants; new metrics in the fresh run are allowed (they become
+// part of the baseline when it is regenerated).
 func Check(fresh, base *Artifact) []string {
 	var bad []string
 	if fresh.Schema != base.Schema {
@@ -303,7 +248,7 @@ func Check(fresh, base *Artifact) []string {
 			bad = append(bad, fmt.Sprintf("metric %s: missing from fresh run", k))
 			continue
 		}
-		if msg := checkOne("metric "+k, fv, base.Metrics[k], tolFor(k)); msg != "" {
+		if msg := checkOne("metric "+k, fv, base.Metrics[k], tolFor(k, fresh.exact[k])); msg != "" {
 			bad = append(bad, msg)
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -90,8 +91,10 @@ func TestCheckPassesOnSelf(t *testing.T) {
 }
 
 // TestCheckCatchesPerturbation proves the gate trips: perturb one
-// metric beyond its tolerance band, one exact-match flag minimally,
-// and one counter, and Check must flag each.
+// metric beyond its tolerance band, flip a declared invariant, drift
+// it by less than the default band, and perturb one counter, and Check
+// must flag each — while the same small drift on an undeclared metric
+// passes.
 func TestCheckCatchesPerturbation(t *testing.T) {
 	fresh := FromReport(ByIDSeeded("pingpong", 1))
 	reload := func() *Artifact {
@@ -113,9 +116,22 @@ func TestCheckCatchesPerturbation(t *testing.T) {
 	}
 
 	base = reload()
-	base.Metrics["registry_agrees"] = 0 // exact-match flag
+	base.Metrics["registry_agrees"] = 0 // declared invariant, flipped
 	if bad := Check(fresh, base); len(bad) == 0 {
-		t.Error("exact-match flag drift not flagged")
+		t.Error("flipped invariant not flagged")
+	}
+
+	// A drift of 0.25 sits inside the default band (10% + 0.5), so only
+	// the invariant declaration makes it a regression.
+	base = reload()
+	base.Metrics["registry_agrees"] += 0.25
+	if bad := Check(fresh, base); len(bad) != 1 || !strings.Contains(bad[0], "exact-match") {
+		t.Errorf("sub-band drift of a declared invariant: got %v, want one exact-match regression", bad)
+	}
+	base = reload()
+	base.Metrics["samples"] += 0.25
+	if bad := Check(fresh, base); len(bad) != 0 {
+		t.Errorf("sub-band drift of an undeclared metric flagged: %v", bad)
 	}
 
 	base = reload()

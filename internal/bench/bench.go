@@ -19,6 +19,7 @@ import (
 	"bcl/internal/klc"
 	"bcl/internal/mem"
 	"bcl/internal/mpi"
+	"bcl/internal/node"
 	"bcl/internal/obs"
 	"bcl/internal/obs/prof"
 	"bcl/internal/pvm"
@@ -49,14 +50,82 @@ type Report struct {
 	// embeds them.
 	Attribution *prof.Profile
 	LogP        *prof.LogGP
+
+	// invariants are the report's declared correctness conditions, in
+	// declaration order.
+	invariants []invariant
 }
 
+// invariant is one declared correctness condition: the metric it
+// recorded and whether it holds.
+type invariant struct {
+	name string
+	ok   bool
+}
+
+// String renders the report, closed by its invariant verdict when it
+// declares any: a count when all hold, otherwise the uniform failure
+// banner naming each failing invariant, then the flight-recorder tail.
 func (r *Report) String() string {
-	return fmt.Sprintf("== %s: %s ==\n%s", r.ID, r.Title, r.Text)
+	s := fmt.Sprintf("== %s: %s ==\n%s", r.ID, r.Title, r.Text)
+	if bad := r.Failed(); len(bad) > 0 {
+		s += fmt.Sprintf("\n*** %s FAILED: %s ***\n\n%s", strings.ToUpper(r.ID),
+			strings.Join(bad, ", "), obs.EventsText(r.Flight, 16, uint64(len(r.Flight))))
+	} else if len(r.invariants) > 0 {
+		s += fmt.Sprintf("\ninvariants: %d/%d hold\n", len(r.invariants), len(r.invariants))
+	}
+	return s
 }
 
 // metric records a key number.
 func (r *Report) metric(k string, v float64) { r.Metrics[k] = v }
+
+// invariant declares a correctness condition: v is recorded as metric
+// name, Check compares it exactly against the baseline, and the report
+// fails (banner, non-zero bclbench exit) unless ok.
+func (r *Report) invariant(name string, v float64, ok bool) {
+	r.metric(name, v)
+	r.invariants = append(r.invariants, invariant{name: name, ok: ok})
+}
+
+// must declares a boolean invariant, recorded as 1 when it holds.
+func (r *Report) must(name string, ok bool) { r.invariant(name, b2f(ok), ok) }
+
+// mustNot declares a failure flag, recorded as 1 when the failure
+// happened.
+func (r *Report) mustNot(name string, failed bool) { r.invariant(name, b2f(failed), !failed) }
+
+// mustZero declares a count of failures, which must be zero.
+func (r *Report) mustZero(name string, n int) { r.invariant(name, float64(n), n == 0) }
+
+// Failed lists the declared invariants that do not hold.
+func (r *Report) Failed() []string {
+	var bad []string
+	for _, inv := range r.invariants {
+		if !inv.ok {
+			bad = append(bad, inv.name)
+		}
+	}
+	return bad
+}
+
+// ExitCode is bclbench's exit status for the reports it ran: 1 when
+// any declared invariant failed, 0 otherwise.
+func ExitCode(reports ...*Report) int {
+	for _, r := range reports {
+		if len(r.Failed()) > 0 {
+			return 1
+		}
+	}
+	return 0
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 func newReport(id, title string) *Report {
 	return &Report{ID: id, Title: title, Metrics: make(map[string]float64)}
@@ -260,41 +329,79 @@ func summaryLine(s *obs.Snapshot) string {
 
 func us(t sim.Time) float64 { return float64(t) / 1000 }
 
+// ------------------------------------------------------------ rigs
+
+// openAll opens one endpoint per listed node from a single setup
+// process, each for a freshly spawned user process, runs the clock to
+// settle and panics unless every open succeeded by then.
+func openAll[T any](c *cluster.Cluster, settle sim.Time, nodes []int,
+	open func(p *sim.Proc, nd *node.Node) (T, error)) []T {
+	eps := make([]T, len(nodes))
+	opened := 0
+	c.Env.Go("setup", func(p *sim.Proc) {
+		for i, n := range nodes {
+			var err error
+			if eps[i], err = open(p, c.Nodes[n]); err != nil {
+				return
+			}
+			opened++
+		}
+	})
+	c.Env.RunUntil(settle)
+	if opened != len(nodes) {
+		panic("bench: rig setup failed")
+	}
+	return eps
+}
+
+// openBCL opens one BCL port with the given options per listed node.
+func openBCL(c *cluster.Cluster, settle sim.Time, opts ibcl.Options, nodes ...int) []*ibcl.Port {
+	sys := ibcl.NewSystem(c)
+	return openAll(c, settle, nodes, func(p *sim.Proc, nd *node.Node) (*ibcl.Port, error) {
+		return sys.Open(p, nd, nd.Kernel.Spawn(), opts)
+	})
+}
+
+// seq lists nodes 0..n-1.
+func seq(n int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
+// peerNode is the second endpoint's node of a 2-port rig: node 1, or
+// node 0 itself for the intra-node path.
+func peerNode(intra bool) int {
+	if intra {
+		return 0
+	}
+	return 1
+}
+
 // ------------------------------------------------------ BCL measurers
 
 // bclRig is a 2-port BCL fixture.
 type bclRig struct {
 	c    *cluster.Cluster
-	sys  *ibcl.System
 	a, b *ibcl.Port
 }
 
-func newBCLRig(prof *hw.Profile, intra bool) *bclRig {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	r := &bclRig{c: c, sys: sys}
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[nodeB].Kernel.Spawn()
-		r.a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 64})
-		r.b, _ = sys.Open(p, c.Nodes[nodeB], pb, ibcl.Options{SystemBuffers: 64})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	if r.a == nil || r.b == nil {
-		panic("bench: BCL rig setup failed")
-	}
-	return r
+// openRig opens ports a (node 0) and b (node nodeB) on c.
+func openRig(c *cluster.Cluster, nodeB int) *bclRig {
+	pts := openBCL(c, 20*sim.Millisecond, ibcl.Options{SystemBuffers: 64}, 0, nodeB)
+	return &bclRig{c: c, a: pts[0], b: pts[1]}
 }
 
-// bclLatency measures warm one-way latency for size bytes on a normal
-// channel with preposted (and re-posted) buffers.
-func bclLatency(prof *hw.Profile, intra bool, size int) sim.Time {
-	r := newBCLRig(prof, intra)
+// newBCLRig is the standard 2-node rig; intra puts both ports on node 0.
+func newBCLRig(prof *hw.Profile, intra bool) *bclRig {
+	return openRig(newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: ibcl.DefaultNICConfig()}), peerNode(intra))
+}
+
+// warmLatency measures warm one-way latency a -> b for size bytes on a
+// normal channel with preposted (and re-posted) buffers.
+func (r *bclRig) warmLatency(size int) sim.Time {
 	const iters = 4
 	bufN := size
 	if bufN == 0 {
@@ -328,10 +435,9 @@ func bclLatency(prof *hw.Profile, intra bool, size int) sim.Time {
 	return warm
 }
 
-// bclBandwidth measures streaming bandwidth in MB/s at the given
+// stream measures a -> b streaming bandwidth in MB/s at the given
 // message size.
-func bclBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
-	r := newBCLRig(prof, intra)
+func (r *bclRig) stream(size, msgs int) float64 {
 	var start, end sim.Time
 	ready := false
 	r.c.Env.Go("recv", func(p *sim.Proc) {
@@ -362,9 +468,6 @@ func bclBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
 		}
 	})
 	r.c.Env.RunUntil(r.c.Env.Now() + 10*sim.Second)
-	if end <= start {
-		return 0
-	}
 	return mbps((msgs-1)*size, end-start)
 }
 
@@ -424,28 +527,23 @@ type ulcRig struct {
 	a, b *ulc.Port
 }
 
-func newULCRig(prof *hw.Profile, cfg func() (c cluster.Config)) *ulcRig {
-	conf := cluster.Config{Nodes: 2, Profile: prof, NIC: ulc.NICConfig()}
-	if cfg != nil {
-		conf = cfg()
-	}
+// ulcConfig is a 2-node cluster running the user-level firmware.
+func ulcConfig(prof *hw.Profile) cluster.Config {
+	return cluster.Config{Nodes: 2, Profile: prof, NIC: ulc.NICConfig()}
+}
+
+func newULCRig(conf cluster.Config) *ulcRig {
 	c := newCluster(conf)
 	sys := ulc.NewSystem(c)
-	r := &ulcRig{c: c}
-	c.Env.Go("setup", func(p *sim.Proc) {
-		r.a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 64)
-		r.b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 64)
+	pts := openAll(c, 20*sim.Millisecond, []int{0, 1}, func(p *sim.Proc, nd *node.Node) (*ulc.Port, error) {
+		return sys.Open(p, nd, nd.Kernel.Spawn(), 64)
 	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	if r.a == nil || r.b == nil {
-		panic("bench: ULC rig setup failed")
-	}
-	return r
+	return &ulcRig{c: c, a: pts[0], b: pts[1]}
 }
 
 // ulcPingPong mirrors bclPingPong on the user-level library.
 func ulcPingPong(prof *hw.Profile, size int) sim.Time {
-	r := newULCRig(prof, nil)
+	r := newULCRig(ulcConfig(prof))
 	const iters = 6
 	bufN := size
 	if bufN == 0 {
@@ -485,8 +583,8 @@ func ulcPingPong(prof *hw.Profile, size int) sim.Time {
 }
 
 // ulcLatency is the warm one-way measurement on the user-level port.
-func ulcLatency(prof *hw.Profile, size int, nicCfg func() cluster.Config) sim.Time {
-	r := newULCRig(prof, nicCfg)
+func ulcLatency(conf cluster.Config, size int) sim.Time {
+	r := newULCRig(conf)
 	const iters = 4
 	bufN := size
 	if bufN == 0 {
@@ -523,8 +621,8 @@ func ulcLatency(prof *hw.Profile, size int, nicCfg func() cluster.Config) sim.Ti
 }
 
 // ulcBandwidth measures user-level streaming bandwidth.
-func ulcBandwidth(prof *hw.Profile, size, msgs int, nicCfg func() cluster.Config) float64 {
-	r := newULCRig(prof, nicCfg)
+func ulcBandwidth(conf cluster.Config, size, msgs int) float64 {
+	r := newULCRig(conf)
 	var start, end sim.Time
 	ready := false
 	r.c.Env.Go("recv", func(p *sim.Proc) {
@@ -560,15 +658,18 @@ func ulcBandwidth(prof *hw.Profile, size, msgs int, nicCfg func() cluster.Config
 
 // ------------------------------------------------------ KLC measurers
 
-func klcLatency(prof *hw.Profile, size int) sim.Time {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
+// klcPair opens a kernel-level socket on each node of a 2-node cluster.
+func klcPair(prof *hw.Profile) (c *cluster.Cluster, a, b *klc.Socket) {
+	c = newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
 	sys := klc.NewSystem(c)
-	var a, b *klc.Socket
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
+	s := openAll(c, 20*sim.Millisecond, []int{0, 1}, func(p *sim.Proc, nd *node.Node) (*klc.Socket, error) {
+		return sys.Open(p, nd, nd.Kernel.Spawn())
 	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	return c, s[0], s[1]
+}
+
+func klcLatency(prof *hw.Profile, size int) sim.Time {
+	c, a, b := klcPair(prof)
 	const iters = 4
 	bufN := size
 	if bufN == 0 {
@@ -596,14 +697,7 @@ func klcLatency(prof *hw.Profile, size int) sim.Time {
 }
 
 func klcBandwidth(prof *hw.Profile, size, msgs int) float64 {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: klc.NICConfig()})
-	sys := klc.NewSystem(c)
-	var a, b *klc.Socket
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	c, a, b := klcPair(prof)
 	var start, end sim.Time
 	c.Env.Go("send", func(p *sim.Proc) {
 		src := a.Space().Alloc(size)
@@ -625,15 +719,19 @@ func klcBandwidth(prof *hw.Profile, size, msgs int) float64 {
 
 // ----------------------------------------------------- AMII measurers
 
-func amiiPingPong(prof *hw.Profile, size int) sim.Time {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
+// amiiPair opens an active-message endpoint on each node of a 2-node
+// cluster.
+func amiiPair(prof *hw.Profile) (c *cluster.Cluster, a, b *amii.Endpoint) {
+	c = newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
 	sys := amii.NewSystem(c)
-	var a, b *amii.Endpoint
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 8)
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 8)
+	eps := openAll(c, 20*sim.Millisecond, []int{0, 1}, func(p *sim.Proc, nd *node.Node) (*amii.Endpoint, error) {
+		return sys.Open(p, nd, nd.Kernel.Spawn(), 8)
 	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	return c, eps[0], eps[1]
+}
+
+func amiiPingPong(prof *hw.Profile, size int) sim.Time {
+	c, a, b := amiiPair(prof)
 	const iters = 4
 	var rtt sim.Time
 	c.Env.Go("b", func(p *sim.Proc) {
@@ -669,14 +767,7 @@ func amiiPingPong(prof *hw.Profile, size int) sim.Time {
 }
 
 func amiiBandwidth(prof *hw.Profile, total int) float64 {
-	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: amii.NICConfig()})
-	sys := amii.NewSystem(c)
-	var a, b *amii.Endpoint
-	c.Env.Go("setup", func(p *sim.Proc) {
-		a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 8)
-		b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 8)
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
+	c, a, b := amiiPair(prof)
 	received := 0
 	var start, end sim.Time
 	c.Env.Go("b", func(p *sim.Proc) {
@@ -702,43 +793,32 @@ func amiiBandwidth(prof *hw.Profile, total int) float64 {
 
 // ------------------------------------------------------ BIP measurers
 
-func bipLatency(size int) sim.Time {
-	return ulcLatencyWith(bip.Profile(), size, func() cluster.Config {
-		return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
-	})
-}
-
-func bipBandwidth(size, msgs int) float64 {
-	return ulcBandwidth(bip.Profile(), size, msgs, func() cluster.Config {
-		return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
-	})
-}
-
-func ulcLatencyWith(prof *hw.Profile, size int, cfg func() cluster.Config) sim.Time {
-	return ulcLatency(prof, size, cfg)
+// bipConfig is a 2-node cluster running BIP's firmware on its profile;
+// BIP is driven through the user-level library.
+func bipConfig() cluster.Config {
+	return cluster.Config{Nodes: 2, Profile: bip.Profile(), NIC: bip.NICConfig()}
 }
 
 // ------------------------------------------------------ MPI/PVM rigs
 
+// eadiPair opens two eager-sized BCL ports (node 0 and node 1, or both
+// on node 0 when intra) and wraps each in an EADI device: the shared
+// base of the MPI and PVM rigs.
+func eadiPair(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*eadi.Device) {
+	c := newCluster(cluster.Config{Nodes: 2, Profile: prof, NIC: ibcl.DefaultNICConfig()})
+	pts := openBCL(c, 50*sim.Millisecond, ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}, 0, peerNode(intra))
+	addrs := []ibcl.Addr{pts[0].Addr(), pts[1].Addr()}
+	return c, [2]*eadi.Device{eadi.NewDevice(pts[0], 0, addrs), eadi.NewDevice(pts[1], 1, addrs)}
+}
+
 func mpiJob(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*mpi.Comm) {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var ports [2]*ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		ports[0], _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		ports[1], _ = sys.Open(p, c.Nodes[nodeB], c.Nodes[nodeB].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := []ibcl.Addr{ports[0].Addr(), ports[1].Addr()}
-	return c, [2]*mpi.Comm{
-		mpi.World(eadi.NewDevice(ports[0], 0, addrs)),
-		mpi.World(eadi.NewDevice(ports[1], 1, addrs)),
-	}
+	c, devs := eadiPair(prof, intra)
+	return c, [2]*mpi.Comm{mpi.World(devs[0]), mpi.World(devs[1])}
+}
+
+func pvmJob(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*pvm.Task) {
+	c, devs := eadiPair(prof, intra)
+	return c, [2]*pvm.Task{pvm.NewTask(devs[0]), pvm.NewTask(devs[1])}
 }
 
 func mpiLatency(prof *hw.Profile, intra bool) sim.Time {
@@ -790,27 +870,6 @@ func mpiBandwidth(prof *hw.Profile, intra bool, size, msgs int) float64 {
 	})
 	c.Env.RunUntil(c.Env.Now() + 30*sim.Second)
 	return mbps(msgs*size, end-start)
-}
-
-func pvmJob(prof *hw.Profile, intra bool) (*cluster.Cluster, [2]*pvm.Task) {
-	nodes := 2
-	nodeB := 1
-	if intra {
-		nodeB = 0
-	}
-	c := newCluster(cluster.Config{Nodes: nodes, Profile: prof, NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	var ports [2]*ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		ports[0], _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		ports[1], _ = sys.Open(p, c.Nodes[nodeB], c.Nodes[nodeB].Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-	})
-	c.Env.RunUntil(50 * sim.Millisecond)
-	addrs := []ibcl.Addr{ports[0].Addr(), ports[1].Addr()}
-	return c, [2]*pvm.Task{
-		pvm.NewTask(eadi.NewDevice(ports[0], 0, addrs)),
-		pvm.NewTask(eadi.NewDevice(ports[1], 1, addrs)),
-	}
 }
 
 func pvmLatency(prof *hw.Profile, intra bool) sim.Time {

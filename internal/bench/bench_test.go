@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"bcl/internal/obs"
+	"bcl/internal/sim"
 )
 
 // within asserts a metric falls inside [lo, hi].
@@ -203,5 +206,49 @@ func TestSeededAliasHonorsSeed(t *testing.T) {
 	r := ByIDSeeded("health", 3)
 	if r == nil || !strings.Contains(r.Title, "seed 3") {
 		t.Fatalf("ByIDSeeded(\"health\", 3) did not run seed 3")
+	}
+}
+
+// TestInvariantList pins the declared-invariant contract on a synthetic
+// report: every entry emits its metric, a failing entry renders the
+// uniform banner naming it (and only it) with the flight-recorder tail
+// and makes ExitCode report failure, and a passing report prints no
+// banner and exits 0.
+func TestInvariantList(t *testing.T) {
+	r := newReport("synthetic", "invariant list")
+	r.must("holds", true)
+	r.mustZero("errors", 2)
+	r.mustNot("stalled", false)
+	r.invariant("count", 7, false)
+	r.Flight = []obs.Event{{T: sim.Millisecond, Node: 0, Layer: "nic", What: "last-words"}}
+
+	for name, want := range map[string]float64{"holds": 1, "errors": 2, "stalled": 0, "count": 7} {
+		if got, ok := r.Metrics[name]; !ok || got != want {
+			t.Errorf("metric %s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	out := r.String()
+	if !strings.Contains(out, "*** SYNTHETIC FAILED: errors, count ***") {
+		t.Errorf("banner missing or wrong:\n%s", out)
+	}
+	if !strings.Contains(out, "last-words") {
+		t.Errorf("banner lacks the flight-recorder tail:\n%s", out)
+	}
+	if got := ExitCode(newReport("clean", "no invariants"), r); got != 1 {
+		t.Errorf("ExitCode = %d with a failing invariant, want 1", got)
+	}
+	exact := FromReport(r).exact
+	if len(exact) != 4 || !exact["holds"] || !exact["count"] {
+		t.Errorf("artifact exact set = %v, want the four declared names", exact)
+	}
+
+	ok := newReport("passing", "all hold")
+	ok.must("holds", true)
+	ok.mustZero("errors", 0)
+	if out := ok.String(); strings.Contains(out, "FAILED") || !strings.Contains(out, "invariants: 2/2 hold") {
+		t.Errorf("passing report output:\n%s", out)
+	}
+	if got := ExitCode(ok); got != 0 {
+		t.Errorf("ExitCode = %d for a passing report, want 0", got)
 	}
 }

@@ -35,21 +35,33 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosSeedsVary: different seeds produce different fault
-// schedules (and so, almost surely, different digests) — the knob is
-// real.
+// TestChaosSeedsVary: for every soak rig, different seeds produce
+// different fault schedules (and so, almost surely, different
+// digests) — the knob is real — and neither seed deadlocks or corrupts
+// a payload.
 func TestChaosSeedsVary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	a, b := chaosRun(2), chaosRun(3)
-	if a.digest == b.digest {
-		t.Fatal("seeds 2 and 3 produced identical digests")
-	}
-	if a.deadlocked || b.deadlocked {
-		t.Fatal("soak deadlocked")
-	}
-	if a.corrupt != 0 || b.corrupt != 0 {
-		t.Fatal("corrupt payloads under alternate seeds")
+	for _, tc := range []struct {
+		name string
+		rig  func(seed uint64) soakConfig
+	}{
+		{"chaos", chaosSoak},
+		{"survival", survSoak},
+		{"healthwatch", func(seed uint64) soakConfig { return healthSoak(seed, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.rig(2).run(), tc.rig(3).run()
+			if a.digest == b.digest {
+				t.Fatal("seeds 2 and 3 produced identical digests")
+			}
+			if a.deadlocked || b.deadlocked {
+				t.Fatal("soak deadlocked")
+			}
+			if a.corrupt != 0 || b.corrupt != 0 {
+				t.Fatal("corrupt payloads under alternate seeds")
+			}
+		})
 	}
 }

@@ -31,20 +31,10 @@ const collPayload = 1024
 // attaching a NIC collective offload context to every communicator.
 func collRig(n int, offload bool, seed uint64) (*cluster.Cluster, []*mpi.Comm) {
 	c := newCluster(cluster.Config{Nodes: n, NIC: ibcl.DefaultNICConfig(), Seed: seed})
-	sys := ibcl.NewSystem(c)
-	ports := make([]*ibcl.Port, n)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			nd := c.Nodes[i]
-			ports[i], _ = sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		}
-	})
-	c.Env.RunUntil(sim.Time(n) * 5 * sim.Millisecond)
+	ports := openBCL(c, sim.Time(n)*5*sim.Millisecond,
+		ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit}, seq(n)...)
 	addrs := make([]ibcl.Addr, n)
 	for i, pt := range ports {
-		if pt == nil {
-			panic("bench: collectives rig setup failed")
-		}
 		addrs[i] = pt.Addr()
 	}
 	comms := make([]*mpi.Comm, n)
@@ -319,18 +309,15 @@ func CollectivesSeeded(seed uint64) *Report {
 	// below comes from, so the one-line digest and the JSON artifact
 	// cannot drift from the prose (the harness would otherwise merge
 	// both soak runs and all the measurement clusters above).
-	fa := collFaultRun(seed)
-	fb := collFaultRun(seed)
+	fa, fb, deterministic := twice(func() *collFaultResult { return collFaultRun(seed) },
+		func(x *collFaultResult) any { return [...]any{x.digest, x.drops, x.dups, x.byteErrors} })
 	r.Snap = fa.snap
-	deterministic := fa.digest == fb.digest && fa.drops == fb.drops &&
-		fa.dups == fb.dups && fa.byteErrors == fb.byteErrors
 	fmt.Fprintf(&b, "\nfault soak: %d ranks, %d rounds of offloaded bcast(%dB)+allreduce\n",
 		collFaultNodes, collFaultRounds, collFaultBytes)
 	fmt.Fprintf(&b, "schedule:   dropped %d, duplicated %d collective packets\n", fa.drops, fa.dups)
 	fmt.Fprintf(&b, "recovery:   %d retransmit/retry events, %d NIC tree forwards\n", fa.retries, fa.forwards)
-	fmt.Fprintf(&b, "integrity:  %d byte errors, finished: %v\n", fa.byteErrors, fa.finished)
-	fmt.Fprintf(&b, "digest:     %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
-		fa.digest, fb.digest, deterministic)
+	fmt.Fprintf(&b, "integrity:  %d byte errors\n", fa.byteErrors)
+	fmt.Fprintf(&b, "digest:     %016x (run 1) / %016x (run 2)\n", fa.digest, fb.digest)
 
 	r.Text = b.String()
 	for _, rw := range rows {
@@ -350,9 +337,9 @@ func CollectivesSeeded(seed uint64) *Report {
 	}
 	r.metric("fault_drops", float64(fa.drops))
 	r.metric("fault_dups", float64(fa.dups))
-	r.metric("byte_errors", float64(fa.byteErrors))
-	r.metric("finished", b2f(fa.finished))
-	r.metric("deterministic", b2f(deterministic))
+	r.mustZero("byte_errors", fa.byteErrors)
+	r.must("finished", fa.finished)
+	r.must("deterministic", deterministic)
 	return r
 }
 

@@ -9,8 +9,6 @@ import (
 	"bcl/internal/cluster"
 	"bcl/internal/fabric"
 	"bcl/internal/fabric/hetero"
-	"bcl/internal/nic"
-	"bcl/internal/obs"
 	"bcl/internal/obs/health"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
@@ -46,6 +44,7 @@ const (
 
 // hwResult is everything one phase run produces.
 type hwResult struct {
+	*soakResult
 	transitions []health.Transition
 	timeline    string
 	top         string
@@ -53,122 +52,52 @@ type hwResult struct {
 	bundle      []byte // first postmortem bundle, encoded
 	bundles     int
 	fired       map[string]int // firing-transition count per rule
-	delivered   int
-	resends     int
 	samples     int
-	deadlocked  bool
-	snap        *obs.Snapshot
 }
 
-// healthRun executes one phase: the shared rig, plus the fault
-// schedule when fault is set.
+// healthSoak is the shared rig at one seed, plus the fault schedule
+// when fault is set.
+func healthSoak(seed uint64, fault bool) soakConfig {
+	return soakConfig{
+		name: "hw",
+		cluster: cluster.Config{
+			Nodes: hwNodes, Fabric: cluster.Hetero, Profile: survProfile(),
+			NIC: ibcl.DefaultNICConfig(), Seed: seed, Watchdog: true, Health: true,
+		},
+		rounds: hwRounds, size: hwMsgSize, pace: hwPace,
+		// Traffic spans ~70 ms; the horizon leaves room for retransmit
+		// stragglers and lets the rule series settle back to healthy.
+		horizon:     120 * sim.Millisecond,
+		sampleEvery: 5 * sim.Millisecond, sampleRing: 64,
+		faults: func(c *cluster.Cluster, base sim.Time) {
+			// Postmortem bundles carry the worst-offending flow spans,
+			// which the engine reads from the cluster tracer.
+			c.SetTracer(trace.New())
+			if !fault {
+				return
+			}
+			hf := c.Fabric.(*hetero.Fabric)
+			// One seeded firmware crash: the watchdog-trip rule must
+			// catch the kernel healing it.
+			sched := seed ^ 0x9e3779b97f4a7c15
+			node := int(splitmix64(&sched) % hwNodes)
+			at := base + 25*sim.Millisecond + sim.Time(splitmix64(&sched)%uint64(8*sim.Millisecond))
+			c.Nodes[node].NIC.CrashAt(at)
+			// Bit flips on the Myrinet rail: crc-spike must see the drops.
+			if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
+				f.SetFault(fabric.RandomCorrupt(0.05))
+			}
+			// A gray window: the Myrinet rail runs 64x slow but alive, so
+			// its windowed P99 wire time diverges from the mesh rail's.
+			hf.RailSlow(0, base+50*sim.Millisecond, base+80*sim.Millisecond, 64)
+		},
+	}
+}
+
+// healthRun executes one phase.
 func healthRun(seed uint64, fault bool) *hwResult {
-	cfg := ibcl.DefaultNICConfig()
-	c := newCluster(cluster.Config{
-		Nodes: hwNodes, Fabric: cluster.Hetero, Profile: survProfile(),
-		NIC: cfg, Seed: seed, Watchdog: true, Health: true,
-	})
-	hf := c.Fabric.(*hetero.Fabric)
-	tr := trace.New()
-	c.SetTracer(tr)
-	sys := ibcl.NewSystem(c)
-
-	ports := make([]*ibcl.Port, hwNodes)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < hwNodes; i++ {
-			proc := c.Nodes[i].Kernel.Spawn()
-			ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range ports {
-		if pt == nil {
-			panic("bench: healthwatch rig setup failed")
-		}
-	}
-	c.Obs.StartSampler(c.Env, 5*sim.Millisecond, 64)
-	base := c.Env.Now()
-
-	if fault {
-		// One seeded firmware crash: the watchdog-trip rule must catch
-		// the kernel healing it.
-		sched := seed ^ 0x9e3779b97f4a7c15
-		node := int(splitmix64(&sched) % hwNodes)
-		at := base + 25*sim.Millisecond + sim.Time(splitmix64(&sched)%uint64(8*sim.Millisecond))
-		c.Nodes[node].NIC.CrashAt(at)
-		// Bit flips on the Myrinet rail: crc-spike must see the drops.
-		if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
-			f.SetFault(fabric.RandomCorrupt(0.05))
-		}
-		// A gray window: the Myrinet rail runs 64x slow but alive, so its
-		// windowed P99 wire time diverges from the mesh rail's.
-		hf.RailSlow(0, base+50*sim.Millisecond, base+80*sim.Millisecond, 64)
-	}
-
-	res := &hwResult{fired: make(map[string]int)}
-	seen := make([]map[uint64]bool, hwNodes)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-	}
-	expected := (hwNodes - 1) * hwRounds
-	for i := 0; i < hwNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("hw-rx%d", i), func(p *sim.Proc) {
-			for len(seen[i]) < expected {
-				ev, ok := pt.TryRecv(p)
-				if !ok {
-					p.Sleep(200 * sim.Microsecond)
-					continue
-				}
-				if seen[i][ev.Tag] {
-					continue
-				}
-				seen[i][ev.Tag] = true
-				res.delivered++
-			}
-		})
-	}
-	sendersDone := make([]bool, hwNodes)
-	for i := 0; i < hwNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("hw-tx%d", i), func(p *sim.Proc) {
-			va := pt.Process().Space.Alloc(hwMsgSize)
-			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
-			for round := 0; round < hwRounds; round++ {
-				p.Sleep(hwPace)
-				for d := 1; d < hwNodes; d++ {
-					dst := (i + d) % hwNodes
-					for {
-						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
-							va, hwMsgSize, chaosTag(i, dst, round))
-						if err != nil {
-							panic(err)
-						}
-						if pt.WaitSend(p).Type == nic.EvSendDone {
-							break
-						}
-						for !pt.PeerHealthy(ports[dst].Addr().Node) {
-							p.Sleep(500 * sim.Microsecond)
-						}
-						res.resends++
-					}
-				}
-			}
-			sendersDone[i] = true
-		})
-	}
-
-	// Traffic spans ~70 ms; the horizon leaves room for retransmit
-	// stragglers and lets the rule series settle back to healthy.
-	c.Env.RunUntil(c.Env.Now() + 120*sim.Millisecond)
-	for _, d := range sendersDone {
-		if !d {
-			res.deadlocked = true
-		}
-	}
-
+	res := &hwResult{soakResult: healthSoak(seed, fault).run(), fired: make(map[string]int)}
+	c := res.c
 	eng := c.Health
 	res.transitions = append(res.transitions, eng.Transitions()...)
 	res.timeline = eng.TimelineText()
@@ -188,7 +117,6 @@ func healthRun(seed uint64, fault bool) *hwResult {
 		res.bundle = data
 	}
 	res.samples = len(eng.Series("crc-spike")) + 1
-	res.snap = c.Obs.Snapshot(c.Env.Now())
 	return res
 }
 
@@ -216,15 +144,16 @@ func runHealthWatchOnce(seed uint64) *hwOnce {
 // byte-identical.
 func HealthWatchSeeded(seed uint64) *Report {
 	r := newReport("healthwatch", fmt.Sprintf("Cluster health engine: clean silence, fault alerts, postmortems (seed %d)", seed))
-	x := runHealthWatchOnce(seed)
-	y := runHealthWatchOnce(seed)
-
+	x, y, same := twice(func() *hwOnce { return runHealthWatchOnce(seed) },
+		func(o *hwOnce) any {
+			return [...]any{o.digest, o.clean.timeline, o.faulty.timeline, string(o.faulty.bundle)}
+		})
 	timelineOK := x.clean.timeline == y.clean.timeline && x.faulty.timeline == y.faulty.timeline
 	bundleOK := string(x.faulty.bundle) == string(y.faulty.bundle) && len(x.faulty.bundle) > 0
-	deterministic := x.digest == y.digest && timelineOK && bundleOK
+	deterministic := same && len(x.faulty.bundle) > 0
 
 	cl, fa := x.clean, x.faulty
-	total := hwNodes * (hwNodes - 1) * hwRounds
+	total := healthSoak(seed, false).total()
 	cleanSilent := len(cl.transitions) == 0
 	deadlocked := cl.deadlocked || fa.deadlocked
 	mustFire := []string{"crc-spike", "watchdog-trip", "rail-divergence"}
@@ -254,11 +183,7 @@ func HealthWatchSeeded(seed uint64) *Report {
 		fmt.Fprintf(&sb, "\nfirst postmortem: %s kind=%s trigger=%s at %.3fms, %d bytes\n",
 			b.Schema, b.Kind, b.Trigger.Rule, float64(b.AtNs)/float64(sim.Millisecond), len(fa.bundle))
 	}
-	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
-		x.digest, y.digest, deterministic)
-	if !cleanSilent || deadlocked || !deterministic {
-		sb.WriteString("\n*** HEALTHWATCH GAUNTLET FAILED ***\n")
-	}
+	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2)\n", x.digest, y.digest)
 	r.Text = sb.String()
 	r.Snap = fa.snap
 
@@ -270,14 +195,15 @@ func HealthWatchSeeded(seed uint64) *Report {
 	r.metric("fault_bundles", float64(fa.bundles))
 	r.metric("bundle_bytes", float64(len(fa.bundle)))
 
-	r.metric("clean_alerts", float64(len(cl.transitions)))
-	r.metric("fired_crc_spike", b2f(fa.fired["crc-spike"] > 0))
-	r.metric("fired_watchdog_trip", b2f(fa.fired["watchdog-trip"] > 0))
-	r.metric("fired_rail_divergence", b2f(fa.fired["rail-divergence"] > 0))
-	r.metric("timeline_deterministic", b2f(timelineOK))
-	r.metric("bundle_deterministic", b2f(bundleOK))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("deadlocked", b2f(deadlocked))
+	r.mustZero("clean_alerts", len(cl.transitions))
+	r.must("fired_crc_spike", fa.fired["crc-spike"] > 0)
+	r.must("fired_watchdog_trip", fa.fired["watchdog-trip"] > 0)
+	r.must("fired_rail_divergence", fa.fired["rail-divergence"] > 0)
+	r.must("all_delivered", cl.delivered == total && fa.delivered == total)
+	r.must("timeline_deterministic", timelineOK)
+	r.must("bundle_deterministic", bundleOK)
+	r.must("deterministic", deterministic)
+	r.mustNot("deadlocked", deadlocked)
 	return r
 }
 

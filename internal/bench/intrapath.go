@@ -29,8 +29,8 @@ func AblationIntraPath() *Report {
 	prof := hw.DAWNING3000()
 
 	nicLat, nicBW := nicLoopback(prof)
-	shmLat := bclLatency(prof, true, 0)
-	shmBW := bclBandwidth(prof, true, 131072, 8)
+	shmLat := newBCLRig(prof, true).warmLatency(0)
+	shmBW := newBCLRig(prof, true).stream(131072, 8)
 	dirLat, dirBW := directCopy(prof)
 
 	var b strings.Builder

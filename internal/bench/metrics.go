@@ -103,7 +103,7 @@ func PingPong() *Report {
 	}))
 	r.Text = b.String()
 	r.metric("half_rtt_us", us(rtt/2))
-	r.metric("registry_agrees", b2f(len(mismatches) == 0))
+	r.must("registry_agrees", len(mismatches) == 0)
 	r.metric("hist_count", float64(h.Count))
 	r.metric("samples", float64(len(rg.c.Obs.Samples())))
 	return r
@@ -204,18 +204,8 @@ func crashFlowTracedMessage() (*trace.Tracer, *obs.Obs, sim.Time) {
 	c := newCluster(cluster.Config{
 		Nodes: 2, Profile: survProfile(), NIC: ibcl.DefaultNICConfig(), Watchdog: true,
 	})
-	sys := ibcl.NewSystem(c)
-	var a, b *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 8})
-		b, _ = sys.Open(p, c.Nodes[1], pb, ibcl.Options{SystemBuffers: 8})
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	if a == nil || b == nil {
-		panic("bench: crash-flow rig setup failed")
-	}
+	pts := openBCL(c, 20*sim.Millisecond, ibcl.Options{SystemBuffers: 8}, 0, 1)
+	a, b := pts[0], pts[1]
 	tr := trace.New()
 	var oneWay, sentAt sim.Time
 	ch := b.CreateChannel()

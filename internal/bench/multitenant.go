@@ -328,10 +328,8 @@ func Multitenant() *Report {
 
 	alone := mtInterference(false, false)
 	shared := mtInterference(false, true)
-	qos := mtInterference(true, true)
-	qos2 := mtInterference(true, true) // determinism probe
-	deterministic := digestSamples(qos.samples) == digestSamples(qos2.samples) &&
-		qos.p99 == qos2.p99 && qos.qosFrags == qos2.qosFrags
+	qos, qos2, deterministic := twice(func() *mtScenario { return mtInterference(true, true) },
+		func(x *mtScenario) any { return [...]any{digestSamples(x.samples), x.p99, x.qosFrags} })
 
 	fifoSpan, fifoStats := mtMakespan(false)
 	bfSpan, bfStats := mtMakespan(true)
@@ -356,9 +354,6 @@ func Multitenant() *Report {
 	fmt.Fprintf(&b, "  backfill:    %8.2f ms  (backfills %d)\n", us(bfSpan)/1000, bfStats.Backfills)
 	fmt.Fprintf(&b, "\nisolation: %d kernel security rejects (bad VA, foreign endpoint, rebind), %d byte errors\n",
 		rejects, byteErrors)
-	fmt.Fprintf(&b, "endpoint teardown on close: %v; registry agrees with kernel/scheduler stats: %v\n",
-		tornDown, agree && alone.agree && shared.agree && qos.agree)
-	fmt.Fprintf(&b, "deterministic across same-seed runs: %v\n", deterministic)
 	r.Text = b.String()
 
 	r.metric("p50_alone_us", us(alone.p50))
@@ -368,16 +363,21 @@ func Multitenant() *Report {
 	r.metric("p50_qos_us", us(qos.p50))
 	r.metric("p99_qos_us", us(qos.p99))
 	r.metric("qos_frags", float64(qos.qosFrags))
-	r.metric("qos_beats_fifo", b2f(qos.p99 < shared.p99))
 	r.metric("makespan_fifo_us", us(fifoSpan))
 	r.metric("makespan_backfill_us", us(bfSpan))
 	r.metric("backfills", float64(bfStats.Backfills))
-	r.metric("backfill_beats_fifo", b2f(bfSpan < fifoSpan))
-	r.metric("security_rejects", float64(rejects))
-	r.metric("byte_errors", float64(byteErrors))
-	r.metric("teardown_ok", b2f(tornDown))
-	r.metric("registry_agrees", b2f(agree && alone.agree && shared.agree && qos.agree))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("finished", float64(finished))
+	// Invariants: every staged attack rejected (bad VA, foreign
+	// endpoint, rebind) with the victim's bytes intact, teardown
+	// unbinds, the registry agrees with the kernel and scheduler, every
+	// job finishes (1 alone + 2 in each of three shared runs + two
+	// six-job batches), and the QoS/backfill wins hold.
+	r.invariant("security_rejects", float64(rejects), rejects == 3)
+	r.mustZero("byte_errors", byteErrors)
+	r.must("teardown_ok", tornDown)
+	r.must("registry_agrees", agree && alone.agree && shared.agree && qos.agree)
+	r.invariant("finished", float64(finished), finished == 1+3*2+2*6)
+	r.must("qos_beats_fifo", qos.p99 < shared.p99)
+	r.must("backfill_beats_fifo", bfSpan < fifoSpan)
+	r.must("deterministic", deterministic)
 	return r
 }

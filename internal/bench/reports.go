@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	ibcl "bcl/internal/bcl"
-	"bcl/internal/cluster"
 	"bcl/internal/hw"
-	"bcl/internal/klc"
 	"bcl/internal/sim"
 	"bcl/internal/trace"
 	"bcl/internal/ulc"
@@ -31,14 +29,7 @@ func Table1() *Report {
 
 	// Kernel-level.
 	{
-		c := newCluster(cluster.Config{Nodes: 2, NIC: klc.NICConfig()})
-		sys := klc.NewSystem(c)
-		var a, b *klc.Socket
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn())
-			b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn())
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
+		c, a, b := klcPair(nil)
 		t0 := c.Nodes[0].Kernel.Stats().Traps
 		t1 := c.Nodes[1].Kernel.Stats().Traps
 		i1 := c.Nodes[1].Kernel.Stats().Interrupts
@@ -63,14 +54,8 @@ func Table1() *Report {
 
 	// User-level.
 	{
-		c := newCluster(cluster.Config{Nodes: 2, NIC: ulc.NICConfig()})
-		sys := ulc.NewSystem(c)
-		var a, b *ulc.Port
-		c.Env.Go("setup", func(p *sim.Proc) {
-			a, _ = sys.Open(p, c.Nodes[0], c.Nodes[0].Kernel.Spawn(), 64)
-			b, _ = sys.Open(p, c.Nodes[1], c.Nodes[1].Kernel.Spawn(), 64)
-		})
-		c.Env.RunUntil(20 * sim.Millisecond)
+		rg := newULCRig(ulcConfig(nil))
+		c, a, b := rg.c, rg.a, rg.b
 		var after func() (float64, float64)
 		c.Env.Go("run", func(p *sim.Proc) {
 			va := a.Process().Space.Alloc(64)
@@ -322,8 +307,8 @@ func Figure8() *Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %14s %14s\n", "bytes", "inter-node", "intra-node")
 	for _, size := range figSizes {
-		inter := bclLatency(prof, false, size)
-		intra := bclLatency(prof, true, size)
+		inter := newBCLRig(prof, false).warmLatency(size)
+		intra := newBCLRig(prof, true).warmLatency(size)
 		fmt.Fprintf(&b, "%10d %12.2fus %12.2fus\n", size, us(inter), us(intra))
 		if size == 0 {
 			r.metric("inter_0_us", us(inter))
@@ -350,8 +335,8 @@ func Figure9() *Report {
 		if size >= 65536 {
 			msgs = 8
 		}
-		inter := bclBandwidth(prof, false, size, msgs)
-		intra := bclBandwidth(prof, true, size, msgs)
+		inter := newBCLRig(prof, false).stream(size, msgs)
+		intra := newBCLRig(prof, true).stream(size, msgs)
 		fmt.Fprintf(&b, "%10d %14.1f %14.1f\n", size, inter, intra)
 		if inter > peak {
 			peak = inter
@@ -386,16 +371,16 @@ func Table2() *Report {
 	rows := []row{
 		{
 			name:  "BCL (semi-user-level)",
-			intra: us(bclLatency(prof, true, 0)),
-			inter: us(bclLatency(prof, false, 0)),
-			bw:    bclBandwidth(prof, false, 131072, 8),
+			intra: us(newBCLRig(prof, true).warmLatency(0)),
+			inter: us(newBCLRig(prof, false).warmLatency(0)),
+			bw:    newBCLRig(prof, false).stream(131072, 8),
 			note:  "reliable, SMP support",
 		},
 		{
 			name:  "GM-like (user-level)",
 			intra: 0,
-			inter: us(ulcLatency(prof, 0, nil)),
-			bw:    ulcBandwidth(prof, 131072, 8, nil),
+			inter: us(ulcLatency(ulcConfig(prof), 0)),
+			bw:    ulcBandwidth(ulcConfig(prof), 131072, 8),
 			note:  "no SMP support (paper: inter-node only)",
 		},
 		{
@@ -408,8 +393,8 @@ func Table2() *Report {
 		{
 			name:  "BIP-like (minimal)",
 			intra: 0,
-			inter: us(bipLatency(0)),
-			bw:    bipBandwidth(131072, 8),
+			inter: us(ulcLatency(bipConfig(), 0)),
+			bw:    ulcBandwidth(bipConfig(), 131072, 8),
 			note:  "no flow control / error correction",
 		},
 		{
@@ -460,8 +445,8 @@ func Table3() *Report {
 	rows := []row{
 		{
 			name:   "BCL",
-			intraL: us(bclLatency(prof, true, 0)), interL: us(bclLatency(prof, false, 0)),
-			intraBW: bclBandwidth(prof, true, 262144, 6), interBW: bclBandwidth(prof, false, 131072, 8),
+			intraL: us(newBCLRig(prof, true).warmLatency(0)), interL: us(newBCLRig(prof, false).warmLatency(0)),
+			intraBW: newBCLRig(prof, true).stream(262144, 6), interBW: newBCLRig(prof, false).stream(131072, 8),
 			paperIL: 2.7, paperEL: 18.3, paperIBW: 391, papererBWs: 146,
 		},
 		{

@@ -6,7 +6,6 @@ import (
 
 	ibcl "bcl/internal/bcl"
 	"bcl/internal/cluster"
-	"bcl/internal/fabric"
 	"bcl/internal/hw"
 	"bcl/internal/obs"
 	"bcl/internal/obs/health"
@@ -114,50 +113,13 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 	ring := svc.NewRing(cfg.shards, 64)
 	pa, pb := crossShardPairs(ring, cfg.pairs)
 
-	if cfg.dupEvery > 0 {
-		c.Fabric.SetFault(fabric.DuplicateEvery(cfg.dupEvery))
-	}
-	if cfg.outDur > 0 {
-		if ld, ok := c.Fabric.(interface {
-			LinkDown(node int, from, to sim.Time)
-		}); ok {
-			ld.LinkDown(cfg.outNode, cfg.outAt, cfg.outAt+cfg.outDur)
-		}
-	}
+	armSvcFaults(c, cfg.dupEvery, cfg.outNode, cfg.outAt, cfg.outDur)
 
-	servers := make([]*svc.Server, cfg.shards)
-	var addrs []ibcl.Addr
+	_, addrs := bootShards(c, sys, cfg.shards,
+		ibcl.Options{SystemBuffers: 256, SystemBufSize: reqobsBufSize, Tracer: tr},
+		svc.ServerConfig{Ring: ring, AuthSeed: 0xbc1, Seed: cfg.seed, ReqObs: rec})
+
 	var driver *svc.Driver
-	booted := false
-	c.Env.Go("reqobs-setup", func(p *sim.Proc) {
-		opts := ibcl.Options{SystemBuffers: 256, SystemBufSize: reqobsBufSize, Tracer: tr}
-		var ports []*ibcl.Port
-		for i := 0; i < cfg.shards; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: reqobs shard open: %v", err))
-			}
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			servers[i] = svc.NewServer(p, pt, reqobsBufSize, svc.ServerConfig{
-				Index: i, Shards: addrs, Ring: ring,
-				AuthSeed: 0xbc1, Seed: cfg.seed,
-				ReqObs: rec,
-			})
-			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
-		}
-		booted = true
-	})
-	for i := 0; i < 100 && !booted; i++ {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-	}
-	if !booted {
-		panic("bench: reqobs shards did not boot")
-	}
-
 	c.Env.Go("reqobs-driver", func(p *sim.Proc) {
 		nd := c.Nodes[cfg.shards]
 		pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{
@@ -168,17 +130,11 @@ func runReqObs(cfg reqobsCfg) *reqobsRes {
 			panic(fmt.Sprintf("bench: reqobs driver open: %v", err))
 		}
 		dseed := cfg.seed ^ 0x9e3779b97f4a7c15
-		var arrivals svc.Arrivals
-		if cfg.bursty {
-			arrivals = openloop.NewBursty(dseed, cfg.arrivalMean/2, cfg.arrivalMean/8, 400, 100)
-		} else {
-			arrivals = openloop.NewPoisson(dseed, cfg.arrivalMean)
-		}
 		driver = svc.NewDriver(p, pt, reqobsBufSize, svc.DriverConfig{
 			Shards: addrs, Ring: ring,
 			Users: cfg.users, UserName: "reqobs",
 			AuthSeed: 0xbc1, Seed: dseed,
-			Arrivals: arrivals,
+			Arrivals: svcArrivals(cfg.bursty, dseed, cfg.arrivalMean),
 			Sizes:    openloop.NewBoundedPareto(dseed^0x5e, 16, 1024, 1.3),
 			Keys:     cfg.keys, GetFrac: cfg.getFrac, TxnFrac: cfg.txnFrac,
 			PairA: pa, PairB: pb,
@@ -416,12 +372,6 @@ func ReqObsSeeded(seed uint64) *Report {
 		c1.done, us(c1.p999), c1.retrans, c1.abortsSeen, c1.retainedAbort, c1.sloSeen, c1.retainedSLO)
 	fmt.Fprintf(&sb, "  retained %d/%d  forced drops %d  exemplars %d (%d annotated)  tracer %d spans (%d evicted)\n",
 		c1.retained, chaosCfg.rec.Budget, c1.forced, c1.exemplarCount, c1.annotations, c1.traceSpans, c1.traceDropped)
-	fmt.Fprintf(&sb, "\nevery abort retained: %v\n", allAborts)
-	fmt.Fprintf(&sb, "every SLO breach retained: %v\n", allSLO)
-	fmt.Fprintf(&sb, "retained set within budget: %v\n", inBudget)
-	fmt.Fprintf(&sb, "slow logs byte-identical across double runs: %v\n", sameSlow)
-	fmt.Fprintf(&sb, "exemplar sets identical across double runs: %v\n", sameEx)
-	fmt.Fprintf(&sb, "sampling decisions identical across double runs: %v\n", sameSamp)
 	fmt.Fprintf(&sb, "\nchaos slow-request log (run 1):\n%s", c1.slowLog)
 	r.Text = sb.String()
 
@@ -439,23 +389,27 @@ func ReqObsSeeded(seed uint64) *Report {
 	r.metric("chaos_slo_seen", float64(c1.sloSeen))
 	r.metric("chaos_retained", float64(c1.retained))
 	r.metric("chaos_exemplars", float64(c1.exemplarCount))
-	r.metric("hot_rule_fired", b2f(h1.hotFired > 0))
-	r.metric("hot_rule_silent_baseline", b2f(b1.hotFired == 0))
-	r.metric("bundle_has_slowlog", b2f(h1.bundleSlow))
-	r.metric("aborts_all_retained", b2f(allAborts))
-	r.metric("slo_all_retained", b2f(allSLO))
-	r.metric("chaos_aborts_nonzero", b2f(c1.abortsSeen > 0))
-	r.metric("chaos_slo_nonzero", b2f(c1.sloSeen > 0))
-	r.metric("budget_respected", b2f(inBudget))
-	r.metric("budget_dropped_nonzero", b2f(h1.dropped > 0))
-	r.metric("exemplars_nonzero", b2f(c1.exemplarCount > 0 && c1.annotations > 0))
-	r.metric("trace_cap_respected", b2f(c1.traceSpans <= chaosCfg.traceCap))
-	r.metric("trace_evictions_nonzero", b2f(c1.traceDropped > 0))
-	r.metric("slowlog_deterministic", b2f(sameSlow))
-	r.metric("exemplar_deterministic", b2f(sameEx))
-	r.metric("sampling_deterministic", b2f(sameSamp))
-	r.metric("linearizable_ok", b2f(b1.violations == 0 && h1.violations == 0))
-	r.metric("drained", b2f(drained))
-	r.metric("deterministic", b2f(sameSlow && sameEx && sameSamp))
+	// Invariants: sampling retains every abort and SLO breach within
+	// budget, the hot-shard rule fires on the skewed phase only, and
+	// slow logs, exemplar sets and sampling decisions are identical
+	// across double runs.
+	r.must("hot_rule_fired", h1.hotFired > 0)
+	r.must("hot_rule_silent_baseline", b1.hotFired == 0)
+	r.must("bundle_has_slowlog", h1.bundleSlow)
+	r.must("aborts_all_retained", allAborts)
+	r.must("slo_all_retained", allSLO)
+	r.must("chaos_aborts_nonzero", c1.abortsSeen > 0)
+	r.must("chaos_slo_nonzero", c1.sloSeen > 0)
+	r.must("budget_respected", inBudget)
+	r.must("budget_dropped_nonzero", h1.dropped > 0)
+	r.must("exemplars_nonzero", c1.exemplarCount > 0 && c1.annotations > 0)
+	r.must("trace_cap_respected", c1.traceSpans <= chaosCfg.traceCap)
+	r.must("trace_evictions_nonzero", c1.traceDropped > 0)
+	r.must("slowlog_deterministic", sameSlow)
+	r.must("exemplar_deterministic", sameEx)
+	r.must("sampling_deterministic", sameSamp)
+	r.must("linearizable_ok", b1.violations == 0 && h1.violations == 0)
+	r.must("drained", drained)
+	r.must("deterministic", sameSlow && sameEx && sameSamp)
 	return r
 }

@@ -6,10 +6,6 @@ import (
 	"math"
 	"strings"
 
-	ibcl "bcl/internal/bcl"
-	"bcl/internal/cluster"
-	"bcl/internal/eadi"
-	"bcl/internal/hw"
 	"bcl/internal/mpi"
 	"bcl/internal/sim"
 )
@@ -51,24 +47,7 @@ func Scale() *Report {
 // collectiveTimes builds an n-rank job on n nodes and times one warm
 // barrier and one warm 1 KB allreduce.
 func collectiveTimes(n int) (barrier, allreduce sim.Time) {
-	c := newCluster(cluster.Config{Nodes: n, Profile: hw.DAWNING3000(), NIC: ibcl.DefaultNICConfig()})
-	sys := ibcl.NewSystem(c)
-	ports := make([]*ibcl.Port, n)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			nd := c.Nodes[i]
-			ports[i], _ = sys.Open(p, nd, nd.Kernel.Spawn(), ibcl.Options{SystemBuffers: 64, SystemBufSize: eadi.EagerLimit})
-		}
-	})
-	c.Env.RunUntil(sim.Time(n) * 5 * sim.Millisecond)
-	addrs := make([]ibcl.Addr, n)
-	for i, pt := range ports {
-		addrs[i] = pt.Addr()
-	}
-	comms := make([]*mpi.Comm, n)
-	for i, pt := range ports {
-		comms[i] = mpi.World(eadi.NewDevice(pt, i, addrs))
-	}
+	c, comms := collRig(n, false, 1)
 	const count = 128 // 1 KB of float64
 	barrierEnd := make([]sim.Time, n)
 	allredEnd := make([]sim.Time, n)

@@ -49,19 +49,19 @@ type serveCfg struct {
 	qos bool // NIC QoS WRR (else strict FIFO)
 	hog bool // 32 KB stream hog on driver node 0
 
-	watchdog bool
-	health   bool
-	dupEvery int      // duplicate every nth packet (0 = off)
-	outNode  int      // shard node for the link outage (with outDur > 0)
-	outAt    sim.Time // outage start
-	outDur   sim.Time // outage length (0 = no outage)
-	crashNode int     // shard node whose NIC firmware crashes
-	crashAt  sim.Time // crash instant (0 = no crash)
+	watchdog  bool
+	health    bool
+	dupEvery  int      // duplicate every nth packet (0 = off)
+	outNode   int      // shard node for the link outage (with outDur > 0)
+	outAt     sim.Time // outage start
+	outDur    sim.Time // outage length (0 = no outage)
+	crashNode int      // shard node whose NIC firmware crashes
+	crashAt   sim.Time // crash instant (0 = no crash)
 }
 
 // serveRes is everything a scenario run exposes to the report.
 type serveRes struct {
-	samples  []sim.Time
+	samples        []sim.Time
 	p50, p99, p999 sim.Time
 	reqsPerSec     float64
 
@@ -70,13 +70,13 @@ type serveRes struct {
 	violations, aborts    uint64
 	committed, dedup      uint64
 
-	atomicity bool // every txn pair byte-identical across shards
-	coherent  bool // every cached entry matches its shard's version
-	drained   bool
-	hogDone   uint64
-	sloAlerts int
+	atomicity   bool // every txn pair byte-identical across shards
+	coherent    bool // every cached entry matches its shard's version
+	drained     bool
+	hogDone     uint64
+	sloAlerts   int
 	abortAlerts int
-	digest    uint64
+	digest      uint64
 }
 
 const serveBufSize = 2048
@@ -97,52 +97,16 @@ func runServe(cfg serveCfg) *serveRes {
 	ring := svc.NewRing(cfg.shards, 64)
 	pa, pb := crossShardPairs(ring, cfg.pairs)
 
-	if cfg.dupEvery > 0 {
-		c.Fabric.SetFault(fabric.DuplicateEvery(cfg.dupEvery))
-	}
-	if cfg.outDur > 0 {
-		if ld, ok := c.Fabric.(interface {
-			LinkDown(node int, from, to sim.Time)
-		}); ok {
-			ld.LinkDown(cfg.outNode, cfg.outAt, cfg.outAt+cfg.outDur)
-		}
-	}
+	armSvcFaults(c, cfg.dupEvery, cfg.outNode, cfg.outAt, cfg.outDur)
 	if cfg.crashAt > 0 {
 		c.Nodes[cfg.crashNode].NIC.CrashAt(cfg.crashAt)
 	}
 
 	// Shard servers: plain processes (they are the service itself, not
 	// a scheduled tenant).
-	servers := make([]*svc.Server, cfg.shards)
-	var addrs []ibcl.Addr
-	booted := false
-	c.Env.Go("svc-setup", func(p *sim.Proc) {
-		opts := ibcl.Options{SystemBuffers: 256, SystemBufSize: serveBufSize}
-		var ports []*ibcl.Port
-		for i := 0; i < cfg.shards; i++ {
-			nd := c.Nodes[i]
-			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: serve shard open: %v", err))
-			}
-			ports = append(ports, pt)
-			addrs = append(addrs, pt.Addr())
-		}
-		for i, pt := range ports {
-			servers[i] = svc.NewServer(p, pt, serveBufSize, svc.ServerConfig{
-				Index: i, Shards: addrs, Ring: ring,
-				AuthSeed: 0xbc1, Seed: cfg.seed,
-			})
-			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
-		}
-		booted = true
-	})
-	for i := 0; i < 100 && !booted; i++ {
-		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
-	}
-	if !booted {
-		panic("bench: serve shards did not boot")
-	}
+	servers, addrs := bootShards(c, sys, cfg.shards,
+		ibcl.Options{SystemBuffers: 256, SystemBufSize: serveBufSize},
+		svc.ServerConfig{Ring: ring, AuthSeed: 0xbc1, Seed: cfg.seed})
 
 	// The swarm rides the gang scheduler: one rank per driver node,
 	// each multiplexing cfg.users simulated users over a single
@@ -167,17 +131,11 @@ func runServe(cfg serveCfg) *serveRes {
 				panic(fmt.Sprintf("bench: serve driver open: %v", err))
 			}
 			dseed := cfg.seed ^ uint64(ctx.Rank+1)*0x9e3779b97f4a7c15
-			var arrivals svc.Arrivals
-			if cfg.bursty {
-				arrivals = openloop.NewBursty(dseed, cfg.arrivalMean/2, cfg.arrivalMean/8, 400, 100)
-			} else {
-				arrivals = openloop.NewPoisson(dseed, cfg.arrivalMean)
-			}
 			d := svc.NewDriver(p, pt, serveBufSize, svc.DriverConfig{
 				Shards: addrs, Ring: ring,
 				Users: cfg.users, UserName: fmt.Sprintf("swarm%d", ctx.Rank),
 				AuthSeed: 0xbc1, Seed: dseed,
-				Arrivals: arrivals,
+				Arrivals: svcArrivals(cfg.bursty, dseed, cfg.arrivalMean),
 				Sizes:    openloop.NewBoundedPareto(dseed^0x5e, 16, 1024, 1.3),
 				Keys:     96, GetFrac: cfg.getFrac, TxnFrac: cfg.txnFrac,
 				PairA: pa, PairB: pb,
@@ -324,6 +282,68 @@ func serveServerDedup(sv *svc.Server) (committed, aborted, invs, dedup uint64) {
 	return
 }
 
+// bootShards opens a port with opts on each of nodes 0..n-1 from one
+// setup process, starts a shard server on each (scfg completed with
+// its index and the shard addresses), and runs the clock until all of
+// them are serving.
+func bootShards(c *cluster.Cluster, sys *ibcl.System, n int, opts ibcl.Options,
+	scfg svc.ServerConfig) ([]*svc.Server, []ibcl.Addr) {
+	servers := make([]*svc.Server, n)
+	var addrs []ibcl.Addr
+	booted := false
+	c.Env.Go("svc-setup", func(p *sim.Proc) {
+		var ports []*ibcl.Port
+		for i := 0; i < n; i++ {
+			nd := c.Nodes[i]
+			pt, err := sys.Open(p, nd, nd.Kernel.Spawn(), opts)
+			if err != nil {
+				panic(fmt.Sprintf("bench: shard open: %v", err))
+			}
+			ports = append(ports, pt)
+			addrs = append(addrs, pt.Addr())
+		}
+		for i, pt := range ports {
+			sc := scfg
+			sc.Index, sc.Shards = i, addrs
+			servers[i] = svc.NewServer(p, pt, opts.SystemBufSize, sc)
+			c.Env.Go(fmt.Sprintf("shard%d", i), servers[i].Run)
+		}
+		booted = true
+	})
+	for i := 0; i < 100 && !booted; i++ {
+		c.Env.RunUntil(c.Env.Now() + sim.Millisecond)
+	}
+	if !booted {
+		panic("bench: shards did not boot")
+	}
+	return servers, addrs
+}
+
+// armSvcFaults installs the service-tier chaos injectors: a duplicate
+// of every dupEvery-th packet, and a link outage at outNode over
+// [outAt, outAt+outDur). Zero turns either off.
+func armSvcFaults(c *cluster.Cluster, dupEvery, outNode int, outAt, outDur sim.Time) {
+	if dupEvery > 0 {
+		c.Fabric.SetFault(fabric.DuplicateEvery(dupEvery))
+	}
+	if outDur > 0 {
+		if ld, ok := c.Fabric.(interface {
+			LinkDown(node int, from, to sim.Time)
+		}); ok {
+			ld.LinkDown(outNode, outAt, outAt+outDur)
+		}
+	}
+}
+
+// svcArrivals is a driver's open-loop arrival process around mean:
+// bursty on/off, or Poisson.
+func svcArrivals(bursty bool, seed uint64, mean sim.Time) svc.Arrivals {
+	if bursty {
+		return openloop.NewBursty(seed, mean/2, mean/8, 400, 100)
+	}
+	return openloop.NewPoisson(seed, mean)
+}
+
 // crossShardPairs builds transaction key pairs whose halves live on
 // different shards, so every transaction exercises 2PC.
 func crossShardPairs(ring *svc.Ring, n int) (pa, pb []string) {
@@ -379,7 +399,7 @@ func serveSchedule(seed uint64) (dup int, outAt, outDur, crashAt sim.Time) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
-	dup = 3 + int(next()%5)                                   // every 3rd..7th packet
+	dup = 3 + int(next()%5)                                         // every 3rd..7th packet
 	outAt = 8*sim.Millisecond + sim.Time(next()%6)*sim.Millisecond  // 8..13 ms
 	outDur = 3*sim.Millisecond + sim.Time(next()%3)*sim.Millisecond // 3..5 ms
 	crashAt = 16*sim.Millisecond + sim.Time(next()%5)*sim.Millisecond
@@ -419,17 +439,15 @@ func ServeSeeded(seed uint64) *Report {
 	chaosCfg := serveCfg{
 		shards: 3, driverNodes: 2, users: 6000, seed: seed,
 		arrivalMean: 160 * sim.Microsecond, bursty: true,
-		start:       10 * sim.Millisecond, window: 25 * sim.Millisecond,
+		start: 10 * sim.Millisecond, window: 25 * sim.Millisecond,
 		getFrac: 0.5, txnFrac: 0.2, pairs: 12,
 		watchdog: true, health: true,
 		dupEvery: dup,
 		outNode:  1, outAt: outAt, outDur: outDur,
 		crashNode: 2, crashAt: crashAt,
 	}
-	chaos := runServe(chaosCfg)
-	chaos2 := runServe(chaosCfg)
-	deterministic := chaos.digest == chaos2.digest &&
-		chaos.p999 == chaos2.p999 && chaos.committed == chaos2.committed
+	chaos, chaos2, deterministic := twice(func() *serveRes { return runServe(chaosCfg) },
+		func(x *serveRes) any { return [...]any{x.digest, x.p999, x.committed} })
 
 	okAll := baseline.atomicity && chaos.atomicity && chaos2.atomicity
 	linAll := baseline.violations == 0 && fifo.violations == 0 && qos.violations == 0 &&
@@ -454,11 +472,6 @@ func ServeSeeded(seed uint64) *Report {
 		chaos.done, us(chaos.p999), chaos.retrans, chaos.dedup)
 	fmt.Fprintf(&b, "  txns committed %d aborted %d; slo-burn alerts %d, txn-abort alerts %d\n",
 		chaos.committed, chaos.aborts, chaos.sloAlerts, chaos.abortAlerts)
-	fmt.Fprintf(&b, "\natomicity (no half-applied pair): %v\n", okAll)
-	fmt.Fprintf(&b, "linearizable reads (0 monotonic/RYW violations): %v\n", linAll)
-	fmt.Fprintf(&b, "coherent caches at quiesce: %v\n", cohAll)
-	fmt.Fprintf(&b, "all requests answered (open loop drained): %v\n", drainedAll)
-	fmt.Fprintf(&b, "deterministic across same-seed double run: %v\n", deterministic)
 	r.Text = b.String()
 
 	r.metric("reqs", float64(baseline.done))
@@ -470,20 +483,24 @@ func ServeSeeded(seed uint64) *Report {
 	r.metric("txn_committed", float64(baseline.committed))
 	r.metric("p999_fifo_us", us(fifo.p999))
 	r.metric("p999_qos_us", us(qos.p999))
-	r.metric("qos_beats_fifo", b2f(qos.p999 < fifo.p999))
 	r.metric("chaos_reqs", float64(chaos.done))
 	r.metric("chaos_p999_us", us(chaos.p999))
 	r.metric("chaos_retransmits", float64(chaos.retrans))
 	r.metric("chaos_txn_committed", float64(chaos.committed))
 	r.metric("chaos_txn_aborted", float64(chaos.aborts))
 	r.metric("slo_alerts", float64(chaos.sloAlerts))
-	r.metric("atomicity_ok", b2f(okAll))
-	r.metric("linearizable_ok", b2f(linAll))
-	r.metric("coherent_caches", b2f(cohAll))
-	r.metric("swarm_drained", b2f(drainedAll))
-	r.metric("dedup_nonzero", b2f(chaos.dedup > 0))
-	r.metric("retrans_nonzero", b2f(chaos.retrans > 0))
-	r.metric("txn_commits_nonzero", b2f(chaos.committed > 0))
-	r.metric("deterministic", b2f(deterministic))
+	// Invariants: no half-applied transaction pair, no monotonic-read
+	// violation, caches coherent at quiesce, every request answered (the
+	// open loop drained), the chaos phase's faults actually exercised
+	// the dedup/retransmit machinery, and QoS beats FIFO on the tail.
+	r.must("qos_beats_fifo", qos.p999 < fifo.p999)
+	r.must("atomicity_ok", okAll)
+	r.must("linearizable_ok", linAll)
+	r.must("coherent_caches", cohAll)
+	r.must("swarm_drained", drainedAll)
+	r.must("dedup_nonzero", chaos.dedup > 0)
+	r.must("retrans_nonzero", chaos.retrans > 0)
+	r.must("txn_commits_nonzero", chaos.committed > 0)
+	r.must("deterministic", deterministic)
 	return r
 }

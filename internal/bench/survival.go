@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	ibcl "bcl/internal/bcl"
@@ -11,7 +9,6 @@ import (
 	"bcl/internal/fabric"
 	"bcl/internal/fabric/hetero"
 	"bcl/internal/hw"
-	"bcl/internal/nic"
 	"bcl/internal/obs"
 	"bcl/internal/sim"
 )
@@ -91,174 +88,59 @@ func survProfile() *hw.Profile {
 
 // survResult is everything one Phase A soak produces.
 type survResult struct {
-	digest        uint64
-	delivered     int
-	duplicates    int
-	byteErrors    int
-	resends       int
-	deadlocked    bool
+	*soakResult
+	digest        uint64 // the soak digest with the resend count folded in
 	stats         survCounters
 	recoveryMaxUs float64
-	snap          *obs.Snapshot
 	timeline      string
-	flight        string
 }
 
-// survRun executes one seeded combined-chaos soak (Phase A).
-func survRun(seed uint64) *survResult {
+// survSoak is the Phase A rig at one seed.
+func survSoak(seed uint64) soakConfig {
 	cfg := ibcl.DefaultNICConfig()
 	cfg.AdaptiveRTO = true
-	c := newCluster(cluster.Config{
-		Nodes: survNodes, Fabric: cluster.Hetero, Profile: survProfile(),
-		NIC: cfg, Seed: seed, Watchdog: true,
-	})
-	hf := c.Fabric.(*hetero.Fabric)
-	sys := ibcl.NewSystem(c)
-
-	ports := make([]*ibcl.Port, survNodes)
-	c.Env.Go("setup", func(p *sim.Proc) {
-		for i := 0; i < survNodes; i++ {
-			proc := c.Nodes[i].Kernel.Spawn()
-			ports[i], _ = sys.Open(p, c.Nodes[i], proc, ibcl.Options{SystemBuffers: 64})
-		}
-	})
-	c.Env.RunUntil(20 * sim.Millisecond)
-	for _, pt := range ports {
-		if pt == nil {
-			panic("bench: survival rig setup failed")
-		}
-	}
-	c.Obs.StartSampler(c.Env, 20*sim.Millisecond, 32)
-	base := c.Env.Now()
-
-	// Seeded crash schedule: three staggered firmware crashes, far
-	// enough apart that each recovery (~1.5 ms) finishes long before
-	// the next crash lands.
-	res := &survResult{}
-	sched := seed ^ 0xda3e39cb94b95bdb
-	for k := 0; k < survCrashes; k++ {
-		node := int(splitmix64(&sched) % survNodes)
-		at := base + 25*sim.Millisecond + sim.Time(k)*45*sim.Millisecond +
-			sim.Time(splitmix64(&sched)%uint64(15*sim.Millisecond))
-		c.Nodes[node].NIC.CrashAt(at)
-	}
-	// Silent corruption on the Myrinet rail: the per-fragment CRC must
-	// catch every flip and retransmission must heal it.
-	if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
-		f.SetFault(fabric.RandomCorrupt(0.015))
-	}
-	// A gray window on top: the policy rail runs 8x slow mid-soak.
-	hf.RailSlow(0, base+60*sim.Millisecond, base+95*sim.Millisecond, 8)
-
-	// Receivers: verify payload bytes, dedup by tag, fold arrivals into
-	// a per-port order-dependent digest.
-	digests := make([]uint64, survNodes)
-	seen := make([]map[uint64]bool, survNodes)
-	for i := range seen {
-		seen[i] = make(map[uint64]bool)
-	}
-	expected := (survNodes - 1) * survRounds // per receiver, after dedup
-	for i := 0; i < survNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("surv-rx%d", i), func(p *sim.Proc) {
-			const prime = 0x100000001b3
-			digests[i] = 0xcbf29ce484222325
-			for len(seen[i]) < expected {
-				ev, ok := pt.TryRecv(p)
-				if !ok {
-					p.Sleep(200 * sim.Microsecond)
-					continue
-				}
-				if seen[i][ev.Tag] {
-					res.duplicates++
-					continue
-				}
-				seen[i][ev.Tag] = true
-				src := int(ev.Tag >> 32)
-				round := int(ev.Tag >> 8 & 0xffffff)
-				data, _ := pt.Process().Space.Read(ev.VA, ev.Len)
-				sum := uint64(0)
-				bad := false
-				for j, bb := range data {
-					if bb != chaosPattern(src, i, round, j) {
-						bad = true
-						break
-					}
-					sum += uint64(bb)
-				}
-				if bad || ev.Len != survMsgSize {
-					res.byteErrors++
-				}
-				res.delivered++
-				digests[i] = (digests[i] ^ ev.Tag) * prime
-				digests[i] = (digests[i] ^ uint64(ev.Len)) * prime
-				digests[i] = (digests[i] ^ sum) * prime
+	return soakConfig{
+		name: "surv",
+		cluster: cluster.Config{
+			Nodes: survNodes, Fabric: cluster.Hetero, Profile: survProfile(),
+			NIC: cfg, Seed: seed, Watchdog: true,
+		},
+		rounds: survRounds, size: survMsgSize,
+		// The workload spans ~175 ms; 400 ms leaves room for stragglers
+		// and keeps the fault window inside the timeline ring.
+		pace: 15 * sim.Millisecond, horizon: 400 * sim.Millisecond,
+		sampleEvery: 20 * sim.Millisecond, sampleRing: 32,
+		faults: func(c *cluster.Cluster, base sim.Time) {
+			hf := c.Fabric.(*hetero.Fabric)
+			// Seeded crash schedule: three staggered firmware crashes,
+			// far enough apart that each recovery (~1.5 ms) finishes
+			// long before the next crash lands.
+			sched := seed ^ 0xda3e39cb94b95bdb
+			for k := 0; k < survCrashes; k++ {
+				node := int(splitmix64(&sched) % survNodes)
+				at := base + 25*sim.Millisecond + sim.Time(k)*45*sim.Millisecond +
+					sim.Time(splitmix64(&sched)%uint64(15*sim.Millisecond))
+				c.Nodes[node].NIC.CrashAt(at)
 			}
-		})
-	}
-
-	// Senders: paced all-to-all rounds spanning the whole fault
-	// schedule. Recovery is supposed to keep every send succeeding; the
-	// wait-and-resend arm is a backstop that (if ever taken) shows up
-	// in the resends metric and, via duplicates, breaks exactly_once.
-	sendersDone := make([]bool, survNodes)
-	for i := 0; i < survNodes; i++ {
-		i := i
-		pt := ports[i]
-		c.Env.Go(fmt.Sprintf("surv-tx%d", i), func(p *sim.Proc) {
-			va := pt.Process().Space.Alloc(survMsgSize)
-			buf := make([]byte, survMsgSize)
-			p.Sleep(sim.Time(i) * sim.Millisecond) // de-lockstep the senders
-			for round := 0; round < survRounds; round++ {
-				p.Sleep(15 * sim.Millisecond)
-				for d := 1; d < survNodes; d++ {
-					dst := (i + d) % survNodes
-					for j := range buf {
-						buf[j] = chaosPattern(i, dst, round, j)
-					}
-					pt.Process().Space.Write(va, buf)
-					for {
-						_, err := pt.Send(p, ports[dst].Addr(), ibcl.SystemChannel,
-							va, survMsgSize, chaosTag(i, dst, round))
-						if err != nil {
-							panic(err)
-						}
-						if pt.WaitSend(p).Type == nic.EvSendDone {
-							break
-						}
-						for !pt.PeerHealthy(ports[dst].Addr().Node) {
-							p.Sleep(500 * sim.Microsecond)
-						}
-						res.resends++
-					}
-				}
+			// Silent corruption on the Myrinet rail: the per-fragment CRC
+			// must catch every flip and retransmission must heal it.
+			if f, ok := hf.Rail(0).(interface{ SetFault(fabric.Fault) }); ok {
+				f.SetFault(fabric.RandomCorrupt(0.015))
 			}
-			sendersDone[i] = true
-		})
+			// A gray window on top: the policy rail runs 8x slow mid-soak.
+			hf.RailSlow(0, base+60*sim.Millisecond, base+95*sim.Millisecond, 8)
+		},
 	}
+}
 
-	// The workload spans ~175 ms; 400 ms leaves room for stragglers and
-	// keeps the fault window inside the timeline ring.
-	c.Env.RunUntil(c.Env.Now() + 400*sim.Millisecond)
-	for _, d := range sendersDone {
-		if !d {
-			res.deadlocked = true
-		}
-	}
-
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	for _, d := range digests {
-		h = (h ^ d) * prime
-	}
-	h = (h ^ uint64(res.delivered)) * prime
-	h = (h ^ uint64(res.duplicates)) * prime
-	h = (h ^ uint64(res.byteErrors)) * prime
-	h = (h ^ uint64(res.resends)) * prime
-	res.digest = h
-
-	res.snap = c.Obs.Snapshot(c.Env.Now())
+// survRun executes one seeded combined-chaos soak (Phase A). Recovery
+// is supposed to keep every send succeeding; the senders'
+// wait-and-resend arm is a backstop that (if ever taken) shows up in
+// the resends metric and, via duplicates, breaks exactly_once.
+func survRun(seed uint64) *survResult {
+	res := &survResult{soakResult: survSoak(seed).run()}
+	c := res.c
+	res.digest = (res.soakResult.digest ^ uint64(res.resends)) * fnvPrime
 	res.stats = survCountersFrom(res.snap)
 	if hist := res.snap.MergedHist("nic", "recovery_latency_ns"); hist.Count > 0 {
 		res.recoveryMaxUs = float64(hist.Max) / 1000
@@ -270,7 +152,6 @@ func survRun(seed uint64) *survResult {
 		{Label: "resyncs", Layer: "nic", Name: "resyncs_sent"},
 		{Label: "replays", Layer: "kernel", Name: "replayed_records"},
 	})
-	res.flight = c.Obs.Rec.Text(16)
 	return res
 }
 
@@ -297,19 +178,8 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 		Nodes: 2, Fabric: cluster.Hetero, Profile: prof, NIC: cfg, Seed: seed,
 	})
 	hf := c.Fabric.(*hetero.Fabric)
-	sys := ibcl.NewSystem(c)
-
-	var a, b *ibcl.Port
-	c.Env.Go("setup", func(p *sim.Proc) {
-		pa := c.Nodes[0].Kernel.Spawn()
-		pb := c.Nodes[1].Kernel.Spawn()
-		a, _ = sys.Open(p, c.Nodes[0], pa, ibcl.Options{SystemBuffers: 8})
-		b, _ = sys.Open(p, c.Nodes[1], pb, ibcl.Options{SystemBuffers: 8})
-	})
-	c.Env.RunUntil(10 * sim.Millisecond)
-	if a == nil || b == nil {
-		panic("bench: gray rig setup failed")
-	}
+	pts := openBCL(c, 10*sim.Millisecond, ibcl.Options{SystemBuffers: 8}, 0, 1)
+	a, b := pts[0], pts[1]
 	base := c.Env.Now()
 
 	// The policy rail (Myrinet) turns 24x slower — alive, in order,
@@ -342,27 +212,13 @@ func grayRun(seed uint64, adaptive bool) *grayResult {
 
 	res.rounds = len(durations)
 	res.deadlocked = res.rounds != grayRounds
-	res.p50 = pctile(durations, 0.50)
-	res.p999 = pctile(durations, 0.999)
+	res.p50 = quantileNS(durations, 0.50)
+	res.p999 = quantileNS(durations, 0.999)
 	snap := c.Obs.Snapshot(c.Env.Now())
 	res.grayFailovers = snap.SumCounter("nic", "gray_failovers")
 	res.retransmits = snap.SumCounter("nic", "retransmits")
 	res.graySteers = hf.GraySteers()
 	return res
-}
-
-// pctile returns the q-quantile of d (nearest-rank, q in (0,1]).
-func pctile(d []sim.Time, q float64) sim.Time {
-	if len(d) == 0 {
-		return 0
-	}
-	s := append([]sim.Time(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
 }
 
 // survivalOnce runs both phases for one seed and folds everything into
@@ -380,14 +236,13 @@ func runSurvivalOnce(seed uint64) *survivalOnce {
 		adaptive: grayRun(seed, true),
 		fixed:    grayRun(seed, false),
 	}
-	const prime = 0x100000001b3
 	h := o.soak.digest
 	for _, g := range []*grayResult{o.adaptive, o.fixed} {
-		h = (h ^ uint64(g.p50)) * prime
-		h = (h ^ uint64(g.p999)) * prime
-		h = (h ^ g.grayFailovers) * prime
-		h = (h ^ g.graySteers) * prime
-		h = (h ^ g.retransmits) * prime
+		h = (h ^ uint64(g.p50)) * fnvPrime
+		h = (h ^ uint64(g.p999)) * fnvPrime
+		h = (h ^ g.grayFailovers) * fnvPrime
+		h = (h ^ g.graySteers) * fnvPrime
+		h = (h ^ g.retransmits) * fnvPrime
 	}
 	o.digest = h
 	return o
@@ -397,14 +252,12 @@ func runSurvivalOnce(seed uint64) *survivalOnce {
 // checks the runs are bit-identical.
 func SurvivalSeeded(seed uint64) *Report {
 	r := newReport("survival", fmt.Sprintf("Survivable NIC gauntlet: crash + corrupt + gray (seed %d)", seed))
-	x := runSurvivalOnce(seed)
-	y := runSurvivalOnce(seed)
-	deterministic := x.digest == y.digest && x.soak.stats == y.soak.stats &&
-		x.soak.delivered == y.soak.delivered && x.soak.resends == y.soak.resends
+	x, y, deterministic := twice(func() *survivalOnce { return runSurvivalOnce(seed) },
+		func(o *survivalOnce) any { return [...]any{o.digest, o.soak.stats, o.soak.delivered, o.soak.resends} })
 
 	a := x.soak
-	total := survNodes * (survNodes - 1) * survRounds
-	exactlyOnce := a.delivered == total && a.duplicates == 0 && a.byteErrors == 0
+	total := survSoak(seed).total()
+	exactlyOnce := a.delivered == total && a.duplicates == 0 && a.corrupt == 0
 	deadlocked := a.deadlocked || x.adaptive.deadlocked || x.fixed.deadlocked
 	adBeatsFixed := x.adaptive.p999 < x.fixed.p999
 
@@ -416,7 +269,7 @@ func SurvivalSeeded(seed uint64) *Report {
 	fmt.Fprintf(&sb, "%-28s %12s\n", "", "run")
 	fmt.Fprintf(&sb, "%-28s %12d\n", "delivered (of total)", a.delivered)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "app-level duplicates", a.duplicates)
-	fmt.Fprintf(&sb, "%-28s %12d\n", "payload byte errors", a.byteErrors)
+	fmt.Fprintf(&sb, "%-28s %12d\n", "payload byte errors", a.corrupt)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "library-level resends", a.resends)
 	fmt.Fprintf(&sb, "%-28s %12v\n", "exactly-once", exactlyOnce)
 	fmt.Fprintf(&sb, "%-28s %12d\n", "firmware crashes", a.stats.fwCrashes)
@@ -449,18 +302,12 @@ func SurvivalSeeded(seed uint64) *Report {
 		x.adaptive.graySteers, x.fixed.graySteers)
 	fmt.Fprintf(&sb, "%-28s %12v\n", "adaptive beats fixed", adBeatsFixed)
 
-	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2) -> deterministic: %v\n",
-		x.digest, y.digest, deterministic)
-	if !deterministic || deadlocked || !exactlyOnce {
-		sb.WriteString("\n*** SURVIVAL GAUNTLET FAILED ***\n")
-		sb.WriteString("\n" + a.flight)
-	}
+	fmt.Fprintf(&sb, "\ndigest: %016x (run 1) / %016x (run 2)\n", x.digest, y.digest)
 	r.Text = sb.String()
 	r.Snap = a.snap
 
 	r.metric("delivered", float64(a.delivered))
 	r.metric("duplicates", float64(a.duplicates))
-	r.metric("byte_errors", float64(a.byteErrors))
 	r.metric("resends", float64(a.resends))
 	r.metric("fw_crashes", float64(a.stats.fwCrashes))
 	r.metric("watchdog_trips", float64(a.stats.watchdogTrips))
@@ -482,12 +329,13 @@ func SurvivalSeeded(seed uint64) *Report {
 	r.metric("gray_failovers", float64(x.adaptive.grayFailovers))
 	r.metric("gray_steers", float64(x.adaptive.graySteers))
 
-	r.metric("exactly_once", b2f(exactlyOnce))
-	r.metric("crc_drops_nonzero", b2f(a.stats.crcDrops > 0))
-	r.metric("nic_reboots_nonzero", b2f(a.stats.nicReboots > 0))
-	r.metric("adaptive_beats_fixed", b2f(adBeatsFixed))
-	r.metric("gray_failover_nonzero", b2f(x.adaptive.grayFailovers > 0))
-	r.metric("deterministic", b2f(deterministic))
-	r.metric("deadlocked", b2f(deadlocked))
+	r.mustZero("byte_errors", a.corrupt)
+	r.must("exactly_once", exactlyOnce)
+	r.must("crc_drops_nonzero", a.stats.crcDrops > 0)
+	r.must("nic_reboots_nonzero", a.stats.nicReboots > 0)
+	r.must("adaptive_beats_fixed", adBeatsFixed)
+	r.must("gray_failover_nonzero", x.adaptive.grayFailovers > 0)
+	r.must("deterministic", deterministic)
+	r.mustNot("deadlocked", deadlocked)
 	return r
 }

@@ -84,8 +84,11 @@ func (r *Recorder) Events() []Event {
 
 // Text renders the last n retained events (all of them if n <= 0) as a
 // flight-recorder dump.
-func (r *Recorder) Text(n int) string {
-	evs := r.Events()
+func (r *Recorder) Text(n int) string { return EventsText(r.Events(), n, r.Total()) }
+
+// EventsText renders the last n of evs (all of them if n <= 0) as a
+// flight-recorder dump; total is how many events were ever recorded.
+func EventsText(evs []Event, n int, total uint64) string {
 	if len(evs) == 0 {
 		return "(flight recorder empty)\n"
 	}
@@ -93,7 +96,7 @@ func (r *Recorder) Text(n int) string {
 		evs = evs[len(evs)-n:]
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "flight recorder: last %d of %d events\n", len(evs), r.Total())
+	fmt.Fprintf(&b, "flight recorder: last %d of %d events\n", len(evs), total)
 	for _, e := range evs {
 		where := "-"
 		if e.Node >= 0 {
