@@ -108,17 +108,17 @@ func DefaultNICConfig() nic.Config {
 
 // Port is one process's BCL endpoint.
 type Port struct {
-	sys  *System
-	node *node.Node
+	sys   *System
+	node  *node.Node
 	proc  *oskernel.Process
 	addr  Addr
 	tr    *trace.Tracer
 	label string // owning job's label ("" = unlabeled)
 
 	nicPort *nic.Port
-	events  *sim.Queue[*nic.Event] // merged receive events (NIC + intra)
-	sendEvs *sim.Queue[*nic.Event] // merged send events
-	pending []*nic.Event           // receive events set aside by selective waits
+	events  *sim.Queue[*nic.Event]         // merged receive events (NIC + intra)
+	sendEvs *sim.Queue[*nic.Event]         // merged send events
+	pending []*nic.Event                   // receive events set aside by selective waits
 	routes  map[int]*sim.Queue[*nic.Event] // per-channel demux diversions (see route.go)
 
 	intraQ   *sim.Queue[*intraFrag]

@@ -25,16 +25,16 @@ type PacketKind uint8
 
 // Wire packet kinds.
 const (
-	KindData     PacketKind = iota // message payload fragment
-	KindAck                        // cumulative acknowledgement
-	KindNack                       // receiver cannot accept (no buffer); retransmit later
-	KindRMARead                    // RMA read request (open channel)
-	KindRMAWrite                   // RMA write payload fragment (open channel)
-	KindProbe                      // peer-health probe (firmware liveness check)
-	KindProbeAck                   // probe reply: the peer is reachable again
-	KindCollMcast                  // collective: NIC-forwarded multicast fragment
-	KindCollComb                   // collective: combine contribution toward the root
-	KindResync                     // receiver asks a sender to resynchronize a flow (epoch + expected seq)
+	KindData      PacketKind = iota // message payload fragment
+	KindAck                         // cumulative acknowledgement
+	KindNack                        // receiver cannot accept (no buffer); retransmit later
+	KindRMARead                     // RMA read request (open channel)
+	KindRMAWrite                    // RMA write payload fragment (open channel)
+	KindProbe                       // peer-health probe (firmware liveness check)
+	KindProbeAck                    // probe reply: the peer is reachable again
+	KindCollMcast                   // collective: NIC-forwarded multicast fragment
+	KindCollComb                    // collective: combine contribution toward the root
+	KindResync                      // receiver asks a sender to resynchronize a flow (epoch + expected seq)
 )
 
 func (k PacketKind) String() string {
@@ -105,7 +105,7 @@ type Packet struct {
 	MsgLen  int    // total message length
 	Tag     uint64 // upper-layer immediate word
 
-	AckSeq  uint64 // for ACK/NACK: cumulative sequence
+	AckSeq  uint64  // for ACK/NACK: cumulative sequence
 	Coll    CollHdr // collective header (KindCollMcast/KindCollComb only)
 	Payload []byte
 	CRC     uint32
@@ -365,14 +365,21 @@ type Network struct {
 	// (injection to final-hop delivery) — the raw series behind the
 	// health engine's rail-divergence rule.
 	obs *obs.Obs
+
+	// Per-packet strings, built once: the name of the process that
+	// walks a packet's route and the "fabric:<name>" metrics layer.
+	pktName string
+	layer   string
 }
 
 // NewNetwork returns an empty network for n nodes.
 func NewNetwork(env *sim.Env, name string, n int) *Network {
 	net := &Network{
-		env:    env,
-		name:   name,
-		routes: make(map[[2]int][]int),
+		env:     env,
+		name:    name,
+		routes:  make(map[[2]int][]int),
+		pktName: name + "/pkt",
+		layer:   "fabric:" + name,
 	}
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &Endpoint{
@@ -425,7 +432,7 @@ func (n *Network) SetTracer(tr *trace.Tracer) { n.tr = tr }
 // Collect implements Fabric, publishing packet counters under the
 // "fabric:<name>" layer (node -1: link counters are cluster-wide).
 func (n *Network) Collect(set obs.Set) {
-	l := "fabric:" + n.name
+	l := n.layer
 	set(-1, l, "delivered", n.delivered)
 	set(-1, l, "dropped", n.dropped)
 	set(-1, l, "duplicated", n.duplicated)
@@ -436,7 +443,7 @@ func (n *Network) Collect(set obs.Set) {
 // CollectGauges publishes per-node RX queue depths (packets delivered
 // by the fabric but not yet consumed by the NIC's receive engine).
 func (n *Network) CollectGauges(set obs.GaugeSet) {
-	l := "fabric:" + n.name
+	l := n.layer
 	for _, ep := range n.endpoints {
 		set(ep.Node, l, "rx_queued", int64(ep.RX.Len()))
 	}
@@ -612,7 +619,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 	// The head is now one hop in; ripple through the remaining links
 	// asynchronously (cut-through). Each link is held for the packet's
 	// serialization time on that link.
-	n.env.Go(fmt.Sprintf("%s/pkt", n.name), func(fp *sim.Proc) {
+	n.env.Go(n.pktName, func(fp *sim.Proc) {
 		fp.Sleep(first.lat * sim.Time(slow))
 		for _, id := range route[1:] {
 			l := n.links[id]
@@ -636,7 +643,7 @@ func (n *Network) inject(p *sim.Proc, src int, pkt *Packet) {
 		// has arrived (its serialization was paid once, at injection).
 		n.delivered++
 		n.traceWire(pkt, "", t0, fp.Now())
-		n.obs.Observe(-1, "fabric:"+n.name, "wire_ns", int64(fp.Now()-t0))
+		n.obs.Observe(-1, n.layer, "wire_ns", int64(fp.Now()-t0))
 		n.endpoints[pkt.Dst].RX.Post(pkt)
 		if dup {
 			n.delivered++

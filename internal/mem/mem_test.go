@@ -239,17 +239,23 @@ func TestPagesCount(t *testing.T) {
 	}
 }
 
-// Property: write-then-read round-trips for arbitrary offsets/sizes.
+// Property: write-then-read round-trips for arbitrary offsets/sizes
+// inside the mapping, and a write that runs past its end faults.
 func TestQuickReadWriteRoundTrip(t *testing.T) {
+	const size = 64 * 1024
 	m := NewMemory(4096)
 	as := NewAddrSpace(m)
-	va := as.Alloc(64 * 1024)
+	va := as.Alloc(size)
 	f := func(off uint16, data []byte) bool {
 		if len(data) > 32*1024 {
 			data = data[:32*1024]
 		}
 		target := va + VAddr(off)
-		if err := as.Write(target, data); err != nil {
+		err := as.Write(target, data)
+		if int(off)+len(data) > size {
+			return errors.Is(err, ErrFault)
+		}
+		if err != nil {
 			return false
 		}
 		got, err := as.Read(target, len(data))

@@ -70,10 +70,10 @@ type txFlow struct {
 	order    []uint64
 
 	// Adaptive-RTO estimator state (Config.AdaptiveRTO).
-	srtt    sim.Time // smoothed RTT
-	rttvar  sim.Time // mean deviation
-	baseRTT sim.Time // best RTT observed (gray-failure baseline)
-	grayOn  bool     // currently steered onto the alternate rail
+	srtt      sim.Time // smoothed RTT
+	rttvar    sim.Time // mean deviation
+	baseRTT   sim.Time // best RTT observed (gray-failure baseline)
+	grayOn    bool     // currently steered onto the alternate rail
 	grayTimer *sim.Timer
 }
 

@@ -26,7 +26,7 @@ func BenchmarkHeapPushPop(b *testing.B) {
 
 // BenchmarkWakeSoonHandoff measures the scheduler<->process handoff:
 // each iteration is one zero-length sleep, i.e. one wakeSoon event plus
-// two channel transfers.
+// two coroutine switches.
 func BenchmarkWakeSoonHandoff(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()

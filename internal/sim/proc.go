@@ -8,17 +8,21 @@ type killedError struct{ name string }
 
 func (k killedError) Error() string { return "sim: process " + k.name + " killed" }
 
-// Proc is a simulated process: a goroutine whose blocking operations
-// are mediated by the simulation kernel. A Proc may only call kernel
-// primitives from its own goroutine, and only while it is the running
-// process (which is guaranteed if it sticks to kernel primitives for
-// all blocking).
+// Proc is a simulated process: a body run on a pooled coroutine whose
+// blocking operations are mediated by the simulation kernel. A Proc may
+// only call kernel primitives from its own body, and only while it is
+// the running process (which is guaranteed if it sticks to kernel
+// primitives for all blocking).
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{}
+	co     *coro // bound from the start event until the body returns
 	killed bool
 	done   *Signal
+
+	// fn is the body. It is cleared when the body starts, so a
+	// finished Proc does not keep its closure alive.
+	fn func(p *Proc)
 
 	// wakeFn is the one closure allocated per process; every wake-up
 	// (wakeSoon, Sleep, the start event) schedules it through the
@@ -36,34 +40,14 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt is Go with an explicit absolute start time.
 func (e *Env) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		done:   NewSignal(e),
+		env:  e,
+		name: name,
+		fn:   fn,
+		done: NewSignal(e),
 	}
 	p.wakeFn = func() { e.wake(p) }
-	go p.run(fn)
 	e.at(t, p.wakeFn)
 	return p
-}
-
-// run is the process trampoline: it waits for its first wake, executes
-// the body, and hands control back to the scheduler when the body
-// returns or the process is killed.
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedError); ok {
-				p.env.yield <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-		p.done.Fire()
-		p.env.yield <- struct{}{}
-	}()
-	fn(p)
 }
 
 // Env returns the environment the process belongs to.
@@ -78,18 +62,6 @@ func (p *Proc) Now() Time { return p.env.now }
 // Done returns a signal fired when the process body returns; other
 // processes can Join on it.
 func (p *Proc) Done() *Signal { return p.done }
-
-// park blocks the process until something wakes it. Whatever parks the
-// process is responsible for arranging the wake-up (via env.wakeSoon
-// or env.wake from an event callback).
-func (p *Proc) park() {
-	p.env.parked[p] = struct{}{}
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killedError{p.name})
-	}
-}
 
 // Sleep advances the process by d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Time) {

@@ -60,7 +60,7 @@ func (q *Queue[T]) push(v T) {
 	}
 	for len(q.recvWait) > 0 {
 		w := q.recvWait[0]
-		q.recvWait = q.recvWait[1:]
+		q.recvWait = dropFront(q.recvWait)
 		if w.claimed {
 			continue
 		}
@@ -153,15 +153,26 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 
 func (q *Queue[T]) pop() T {
 	v := q.buf[0]
-	var zero T
-	q.buf[0] = zero
-	q.buf = q.buf[1:]
+	q.buf = dropFront(q.buf)
 	q.received++
 	if len(q.sendWait) > 0 {
 		w := q.sendWait[0]
-		q.sendWait = q.sendWait[1:]
+		q.sendWait = dropFront(q.sendWait)
 		q.push(w.v)
 		q.env.wakeSoon(w.p)
 	}
 	return v
+}
+
+// dropFront removes s[0], clearing its slot. A slice that drains to
+// empty is truncated in place so the next append reuses its backing
+// array; advancing past the last element would leave a zero-capacity
+// slice and make every later append reallocate.
+func dropFront[T any](s []T) []T {
+	var zero T
+	s[0] = zero
+	if len(s) == 1 {
+		return s[:0]
+	}
+	return s[1:]
 }

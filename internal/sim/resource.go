@@ -93,7 +93,7 @@ func (r *Resource) Release(n int) {
 		if r.inUse+w.n > r.cap {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters = dropFront(r.waiters)
 		r.grant(w.n, r.env.now-w.since)
 		r.env.wakeSoon(w.p)
 	}

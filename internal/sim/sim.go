@@ -4,16 +4,18 @@
 // The kernel maintains a virtual clock in integer nanoseconds and an
 // event queue ordered by (time, insertion sequence). Simulated
 // activities are either plain callbacks (Env.At / Env.After) or
-// processes: goroutines created with Env.Go that may block on the
-// kernel's synchronization primitives (Proc.Sleep, Queue.Recv,
+// processes: bodies started with Env.Go that may block on the kernel's
+// synchronization primitives (Proc.Sleep, Queue.Recv,
 // Resource.Acquire, Signal.Wait, ...).
 //
-// Exactly one process goroutine runs at a time; the scheduler and the
-// running process hand control back and forth over channels, so there
-// is never concurrent access to simulation state and every run with
-// the same inputs produces the identical event order. Wall-clock time
-// plays no role: a simulated microsecond costs whatever the host needs
-// to execute the model code.
+// Each running process body executes on a stdlib coroutine (iter.Pull)
+// taken from a per-environment pool. The scheduler resumes one
+// coroutine at a time and the process yields back when it blocks, so
+// there is never concurrent access to simulation state and every run
+// with the same inputs produces the identical event order. A panic in
+// a process body comes out of RunUntil (or Run) to its caller.
+// Wall-clock time plays no role: a simulated microsecond costs whatever
+// the host needs to execute the model code.
 //
 // The hot path is allocation-free in steady state: executed events are
 // recycled through a per-environment pool (Timers detect recycled
@@ -64,18 +66,21 @@ type event struct {
 // Env is a simulation environment: one virtual clock, one event queue,
 // and the set of processes and primitives attached to it. An Env is
 // not safe for concurrent use from goroutines outside its control; all
-// interaction must happen from process goroutines it scheduled or from
-// the goroutine that calls Run.
+// interaction must happen from process bodies it runs or from the
+// goroutine that calls Run.
 type Env struct {
-	now     Time
-	seq     uint64
-	pq      []*event      // binary heap ordered by (t, seq)
-	yield   chan struct{} // running proc -> scheduler
-	parked  map[*Proc]struct{}
-	current *Proc
-	closed  bool
-	steps   uint64
-	rng     *Rand
+	now    Time
+	seq    uint64
+	pq     []*event // binary heap ordered by (t, seq)
+	closed bool
+	steps  uint64
+	rng    *Rand
+
+	// Process coroutines: coros lists every coroutine in creation
+	// order (Close unwinds them in that order); idle holds the ones
+	// whose last body returned, ready for the next process to start.
+	coros []*coro
+	idle  []*coro
 
 	// Event pool. poolHits counts allocations served from the
 	// freelist, poolMisses counts fresh heap allocations; their ratio
@@ -92,11 +97,7 @@ type Env struct {
 // NewEnv returns an environment with the clock at zero and the given
 // RNG seed (the seed fully determines any randomized model behaviour).
 func NewEnv(seed uint64) *Env {
-	return &Env{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-		rng:    NewRand(seed),
-	}
+	return &Env{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -309,7 +310,8 @@ func (e *Env) Run() Time { return e.RunUntil(Forever) }
 // remain). Events at exactly the deadline do run. A deadline at or
 // before the current time never moves the clock backwards: repeated
 // calls with a non-advancing deadline execute any events at the
-// deadline instant and are otherwise no-ops.
+// deadline instant and are otherwise no-ops. A panic raised in a
+// process body propagates out of RunUntil with its own value.
 func (e *Env) RunUntil(deadline Time) Time {
 	for len(e.pq) > 0 {
 		if e.pq[0].t > deadline {
@@ -343,37 +345,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 
 // Idle reports whether no events are pending.
 func (e *Env) Idle() bool { return len(e.pq) == 0 }
-
-// Close terminates the simulation: pending events are dropped and all
-// parked process goroutines are unwound (their blocking calls panic
-// with a private sentinel recovered by the process trampoline). After
-// Close, scheduling calls are counted no-ops (see At) and the
-// environment must not otherwise be used.
-func (e *Env) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	e.pq = nil
-	e.pool = nil
-	for p := range e.parked {
-		delete(e.parked, p)
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
-	}
-}
-
-// wake transfers control to p immediately (we are inside the
-// scheduler's event callback) and returns when p blocks or finishes.
-func (e *Env) wake(p *Proc) {
-	delete(e.parked, p)
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-}
 
 // wakeSoon schedules p to be woken by a fresh event at the current
 // time. This is how primitives hand the CPU to an unblocked process:

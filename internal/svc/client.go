@@ -56,10 +56,10 @@ type Driver struct {
 type DriverConfig struct {
 	Shards   []bcl.Addr
 	Ring     *Ring
-	Users    int     // simulated users (uch values); <= MaxUsersPerDriver
-	UserName string  // credential base; user i authenticates as UserName
-	AuthSeed uint64  // must match the servers'
-	Seed     uint64  // all driver randomness derives from this
+	Users    int    // simulated users (uch values); <= MaxUsersPerDriver
+	UserName string // credential base; user i authenticates as UserName
+	AuthSeed uint64 // must match the servers'
+	Seed     uint64 // all driver randomness derives from this
 	Arrivals Arrivals
 	Sizes    Sizes
 	Keys     int      // keyspace size for get/put traffic
@@ -382,7 +382,7 @@ func (d *Driver) makeVal() []byte {
 		if i&7 == 0 {
 			seed = mix(seed)
 		}
-		val[i] = byte(seed >> uint((i & 7) * 8))
+		val[i] = byte(seed >> uint((i&7)*8))
 	}
 	return val
 }
